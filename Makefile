@@ -1,6 +1,6 @@
 # Convenience wrappers; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke bench-par bench-dense bench-serve bench-zdd bench-scale bench-check bench-check-dense bench-check-serve bench-check-zdd bench-check-par bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke doc examples clean
+.PHONY: all build test bench bench-quick bench-smoke bench-par bench-dense bench-serve bench-zdd bench-scale bench-check bench-check-dense bench-check-serve bench-check-zdd bench-check-par bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
 
 all: build
 
@@ -124,6 +124,12 @@ metrics-smoke:
 # 10^5-column solve.
 scale-smoke:
 	dune build @scale-smoke
+
+# the end-to-end benchmark's own tests (perfbench/README.md): tiny runs
+# of all three workloads, traced and untraced, with the determinism and
+# answer checks
+perfbench-smoke:
+	python3 perfbench/test_perfbench.py
 
 doc:
 	dune build @doc

@@ -31,7 +31,7 @@ let pop16 =
   done;
   t
 
-let popcount x =
+let[@inline] popcount x =
   Char.code (Bytes.unsafe_get pop16 (x land 0xffff))
   + Char.code (Bytes.unsafe_get pop16 ((x lsr 16) land 0xffff))
   + Char.code (Bytes.unsafe_get pop16 ((x lsr 32) land 0xffff))
@@ -160,6 +160,21 @@ let iter_col_fresh t j ~covered f =
     let w = t.colb.(base + k) land lnot covered.(k) in
     if w <> 0 then iter_bits (k * word_bits) w f
   done
+
+(* Σ w.(i) over those rows in the same ascending order, without a
+   closure, so the float accumulator stays unboxed *)
+let fresh_sum t j ~covered w =
+  let base = j * t.cw in
+  let acc = ref 0. in
+  for k = 0 to t.cw - 1 do
+    let x = ref (t.colb.(base + k) land lnot covered.(k)) in
+    while !x <> 0 do
+      let b = !x land (- !x) in
+      acc := !acc +. w.((k * word_bits) + popcount (b - 1));
+      x := !x lxor b
+    done
+  done;
+  !acc
 
 (* fold column [j] into [covered]; returns how many rows were fresh *)
 let cover_col t j ~covered =

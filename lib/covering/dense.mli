@@ -101,6 +101,11 @@ val iter_col_fresh : t -> int -> covered:int array -> (int -> unit) -> unit
 (** Those rows in ascending order (float weight sums stay in sparse
     order). *)
 
+val fresh_sum : t -> int -> covered:int array -> float array -> float
+(** [fresh_sum t j ~covered w] — the sum of [w.(i)] over those rows,
+    added in ascending row order, so it equals the same fold over the
+    sparse column list bit for bit. *)
+
 val cover_col : t -> int -> covered:int array -> int
 (** Fold column [j] into [covered]; returns the number of rows that were
     fresh. *)

@@ -6,9 +6,10 @@ type rule =
 
 let all_rules = [ Cost_per_row; Cost_per_log; Cost_per_row_log; Weighted_rows ]
 
-let log2 x = log x /. log 2.
+let ln2 = log 2.
+let log2 x = log x /. ln2
 
-let rate rule ~cost ~n_fresh ~row_weight =
+let[@inline] rate rule ~cost ~n_fresh ~row_weight =
   let n = float_of_int n_fresh in
   match rule with
   | Cost_per_row -> cost /. n
@@ -22,98 +23,184 @@ let row_unit m i =
   let deg = Array.length (Matrix.row m i) in
   if deg <= 1 then 1e9 else 1. /. float_of_int (deg - 1)
 
-(* Bit-slice scoring loop: fresh counts by popcount, the Weighted_rows
-   float sum by ascending-order bit iteration — identical arithmetic to
-   the sparse loop below, so both paths choose identical columns. *)
-let solve_dense ~rule d m =
+(* Binary min-heap of (rate, column) pairs in two flat arrays, ordered
+   lexicographically: rate by float [<], ties by the lower column.  Each
+   column is in the heap at most once, so [n_cols] slots suffice. *)
+type heap = {
+  keys : float array;
+  cols : int array;
+  mutable size : int;
+}
+
+(* put (key, col) in slot [i] and let it sink to its place *)
+let heap_sift h i key col =
+  let n = h.size in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= n then sinking := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < n
+          && (h.keys.(r) < h.keys.(l)
+             || (h.keys.(r) = h.keys.(l) && h.cols.(r) < h.cols.(l)))
+        then r
+        else l
+      in
+      let kc = h.keys.(c) in
+      if kc < key || (kc = key && h.cols.(c) < col) then begin
+        h.keys.(!i) <- kc;
+        h.cols.(!i) <- h.cols.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  h.keys.(!i) <- key;
+  h.cols.(!i) <- col
+
+(* drop the minimum (read it from slot 0 first) *)
+let heap_pop h =
+  h.size <- h.size - 1;
+  if h.size > 0 then heap_sift h 0 h.keys.(h.size) h.cols.(h.size)
+
+(* Coverage of one greedy run: a bool per row on the sparse path, the
+   row bitset of the mirror on the dense one (the other array is empty).
+   The paths differ only in how a column's fresh rows are counted,
+   weighed and folded in: a walk of the column list, or word operations
+   on the bitset. *)
+type frontier = {
+  m : Matrix.t;
+  dense : Dense.t option;
+  covered : bool array;
+  bits : int array;
+  units : float array;  (* row_unit per row; empty unless Weighted_rows *)
+  mutable left : int;
+}
+
+let take f j =
+  match f.dense with
+  | Some d -> f.left <- f.left - Dense.cover_col d j ~covered:f.bits
+  | None ->
+    let col = Matrix.col f.m j in
+    for k = 0 to Array.length col - 1 do
+      let i = col.(k) in
+      if not f.covered.(i) then begin
+        f.covered.(i) <- true;
+        f.left <- f.left - 1
+      end
+    done
+
+let first_uncovered f =
+  let row = ref 0 in
+  (match f.dense with
+  | Some _ -> while Dense.mem_bit f.bits !row do incr row done
+  | None -> while f.covered.(!row) do incr row done);
+  !row
+
+(* Weighted_rows weight: [units] summed over the fresh rows of [j] in
+   ascending row order, on either path *)
+let fresh_weight f j =
+  match f.dense with
+  | Some d -> Dense.fresh_sum d j ~covered:f.bits f.units
+  | None ->
+    let col = Matrix.col f.m j in
+    let w = ref 0. in
+    for k = 0 to Array.length col - 1 do
+      let i = col.(k) in
+      if not f.covered.(i) then w := !w +. f.units.(i)
+    done;
+    !w
+
+(* The current rate of column [j], or +∞ when it covers no fresh row.
+   Columns of non-positive cost are rated c·n (more coverage, more
+   negative — the Balas–Ho convention the Lagrangian costs need). *)
+let[@inline] rate_col rule f ~costs j =
+  let n_fresh =
+    match f.dense with
+    | Some d -> Dense.col_fresh d j ~covered:f.bits
+    | None ->
+      let col = Matrix.col f.m j in
+      let n = ref 0 in
+      for k = 0 to Array.length col - 1 do
+        if not f.covered.(col.(k)) then incr n
+      done;
+      !n
+  in
+  if n_fresh = 0 then infinity
+  else begin
+    let c = costs.(j) in
+    if c <= 0. then c *. float_of_int n_fresh
+    else
+      let row_weight = if rule = Weighted_rows then fresh_weight f j else 0. in
+      rate rule ~cost:c ~n_fresh ~row_weight
+  end
+
+let cover ~rule ?dense m ~costs =
   let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
-  let covered = Dense.make_row_set d in
-  let n_uncovered = ref n_rows in
+  if Array.length costs <> n_cols then invalid_arg "Greedy: cost length mismatch";
+  (match dense with
+  | Some d when Dense.matrix d != m ->
+    invalid_arg "Greedy: dense mirror of a different matrix"
+  | _ -> ());
+  let f =
+    {
+      m;
+      dense;
+      covered = (if Option.is_none dense then Array.make n_rows false else [||]);
+      bits = (match dense with Some d -> Dense.make_row_set d | None -> [||]);
+      units = (if rule = Weighted_rows then Array.init n_rows (row_unit m) else [||]);
+      left = n_rows;
+    }
+  in
   let chosen = ref [] in
-  let weighted = rule = Weighted_rows in
-  while !n_uncovered > 0 do
-    let best = ref (-1) and best_rate = ref infinity in
+  let pick j =
+    chosen := j :: !chosen;
+    take f j
+  in
+  for j = 0 to n_cols - 1 do
+    if costs.(j) <= 0. then pick j
+  done;
+  if f.left > 0 then begin
+    let h = { keys = Array.make n_cols 0.; cols = Array.make n_cols 0; size = 0 } in
     for j = 0 to n_cols - 1 do
-      let n_fresh = Dense.col_fresh d j ~covered in
-      if n_fresh > 0 then begin
-        let weight =
-          if weighted then begin
-            let w = ref 0. in
-            Dense.iter_col_fresh d j ~covered (fun i -> w := !w +. row_unit m i);
-            !w
-          end
-          else 0.
-        in
-        let r =
-          rate rule ~cost:(float_of_int (Matrix.cost m j)) ~n_fresh
-            ~row_weight:weight
-        in
-        if r < !best_rate then begin
-          best_rate := r;
-          best := j
-        end
+      let r = rate_col rule f ~costs j in
+      if r < infinity then begin
+        h.keys.(h.size) <- r;
+        h.cols.(h.size) <- j;
+        h.size <- h.size + 1
       end
     done;
-    if !best < 0 then begin
-      let row = ref 0 in
-      while Dense.mem_bit covered !row do incr row done;
-      raise (Infeasible.Infeasible { row = !row; row_id = Matrix.row_id m !row })
-    end;
-    chosen := !best :: !chosen;
-    n_uncovered := !n_uncovered - Dense.cover_col d !best ~covered
-  done;
-  Matrix.irredundant m (List.rev !chosen)
+    for i = (h.size / 2) - 1 downto 0 do
+      heap_sift h i h.keys.(i) h.cols.(i)
+    done;
+    while f.left > 0 do
+      if h.size = 0 then begin
+        let row = first_uncovered f in
+        raise (Infeasible.Infeasible { row; row_id = Matrix.row_id m row })
+      end;
+      (* rates only grow as rows get covered, so the key of the minimum is
+         a lower bound on its column's current rate: equal means the column
+         is the (rate, index) minimum; otherwise it sinks with its new rate *)
+      let key = h.keys.(0) and j = h.cols.(0) in
+      let r = rate_col rule f ~costs j in
+      if r = key then begin
+        heap_pop h;
+        pick j
+      end
+      else if r < infinity then heap_sift h 0 r j
+      else heap_pop h
+    done
+  end;
+  List.rev !chosen
 
 let solve ?(rule = Cost_per_row) ?dense m =
-  let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
-  if n_rows = 0 then []
+  if Matrix.n_rows m = 0 then []
   else
-    match dense with
-    | Some d when Dense.matrix d == m -> solve_dense ~rule d m
-    | Some _ -> invalid_arg "Greedy.solve: dense mirror of a different matrix"
-    | None ->
-      let covered = Array.make n_rows false in
-      let n_uncovered = ref n_rows in
-      let chosen = ref [] in
-      while !n_uncovered > 0 do
-        let best = ref (-1) and best_rate = ref infinity in
-        for j = 0 to n_cols - 1 do
-          let n_fresh = ref 0 and weight = ref 0. in
-          Array.iter
-            (fun i ->
-              if not covered.(i) then begin
-                incr n_fresh;
-                weight := !weight +. row_unit m i
-              end)
-            (Matrix.col m j);
-          if !n_fresh > 0 then begin
-            let r =
-              rate rule ~cost:(float_of_int (Matrix.cost m j)) ~n_fresh:!n_fresh
-                ~row_weight:!weight
-            in
-            if r < !best_rate then begin
-              best_rate := r;
-              best := j
-            end
-          end
-        done;
-        if !best < 0 then begin
-          (* no column covers any remaining row: the problem is infeasible.
-             Report the first uncovered row rather than an Assert_failure. *)
-          let row = ref 0 in
-          while covered.(!row) do incr row done;
-          raise (Infeasible.Infeasible { row = !row; row_id = Matrix.row_id m !row })
-        end;
-        chosen := !best :: !chosen;
-        Array.iter
-          (fun i ->
-            if not covered.(i) then begin
-              covered.(i) <- true;
-              decr n_uncovered
-            end)
-          (Matrix.col m !best)
-      done;
-      Matrix.irredundant m (List.rev !chosen)
+    let costs = Array.init (Matrix.n_cols m) (fun j -> float_of_int (Matrix.cost m j)) in
+    Matrix.irredundant m (cover ~rule ?dense m ~costs)
 
 let solve_best ?dense m =
   let candidates = List.map (fun rule -> solve ~rule ?dense m) all_rules in

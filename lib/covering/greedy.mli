@@ -23,15 +23,36 @@ val rate : rule -> cost:float -> n_fresh:int -> row_weight:float -> float
 (** The rating value; lower is better.  [row_weight] is the denominator of
     {!Weighted_rows} (ignored by the other rules). *)
 
-val solve : ?rule:rule -> ?dense:Dense.t -> Matrix.t -> int list
-(** A feasible, irredundant cover (column indices).  Default rule:
-    {!Cost_per_row}.  Deterministic (ties towards lower index).
+val cover : rule:rule -> ?dense:Dense.t -> Matrix.t -> costs:float array -> int list
+(** The greedy selection shared by {!solve} and the Lagrangian greedy:
+    every column with [costs.(j) <= 0.] is taken up front (ascending),
+    then, while rows remain uncovered, the column minimising the rate —
+    [rate rule] for positive costs, [c·n] for non-positive ones — with
+    ties towards the lower index.  Returns the chosen columns in pick
+    order, redundant ones included.
 
-    [dense] must be a {!Dense} mirror of [m] (checked physically;
-    {!Dense.attach} is the usual source): the scoring loop then counts
-    fresh rows by popcount and updates coverage by word masking — the
-    chosen columns, tie-breaks and float sums are identical to the
-    sparse loop.
+    The pick comes from a lazy min-heap on (rate, column): the popped
+    column is re-rated from scratch and taken if its rate still equals
+    its key, else pushed back with the new rate.  Every rate is
+    non-decreasing as rows get covered (for [Weighted_rows] the weight
+    is a float sum of positive terms over a shrinking row set), so a
+    stale key is a lower bound, and each pick is exactly the strict-[<]
+    ascending scan's (rate, index) minimum.  Columns whose rate is not
+    below [+∞] (no fresh row, or a nan cost) are never picked.
+
+    [dense] must mirror [m] (checked physically): fresh-row counts are
+    then popcounts; the float sums stay in ascending row order, so the
+    result is the same.
+    @raise Infeasible.Infeasible naming the first uncovered row when no
+    pickable column covers it.
+    @raise Invalid_argument on a cost-length mismatch or a mirror of a
+    different matrix. *)
+
+val solve : ?rule:rule -> ?dense:Dense.t -> Matrix.t -> int list
+(** A feasible, irredundant cover (column indices): {!cover} at the
+    integer costs, then {!Matrix.irredundant} over the picks in pick
+    order.  Default rule: {!Cost_per_row}.  Deterministic (ties towards
+    lower index).  [dense] as in {!cover}.
     @raise Infeasible.Infeasible (re-exported as [Covering.Infeasible])
     when some row is covered by no column — possible only for matrices
     assembled from pre-validated parts, since {!Matrix.create} rejects

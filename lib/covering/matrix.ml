@@ -211,27 +211,30 @@ let uncovered m cols =
 
 let irredundant m sol =
   if not (covers m sol) then invalid_arg "Matrix.irredundant: not a cover";
-  let sol = List.sort_uniq Stdlib.compare sol in
+  let sol = List.sort_uniq Int.compare sol in
   let times_covered = Array.make m.n_rows 0 in
   List.iter
     (fun j -> Array.iter (fun i -> times_covered.(i) <- times_covered.(i) + 1) m.cols.(j))
     sol;
   (* try to drop columns, most expensive first (ties: higher index first so
      the result is deterministic) *)
-  let order =
-    List.sort (fun a b -> Stdlib.compare (m.cost.(b), b) (m.cost.(a), a)) sol
-  in
-  let kept = Hashtbl.create 16 in
-  List.iter (fun j -> Hashtbl.replace kept j ()) sol;
-  List.iter
+  let order = Array.of_list sol in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare m.cost.(b) m.cost.(a) in
+      if c <> 0 then c else Int.compare b a)
+    order;
+  let kept = Array.make m.n_cols false in
+  List.iter (fun j -> kept.(j) <- true) sol;
+  Array.iter
     (fun j ->
       let redundant = Array.for_all (fun i -> times_covered.(i) >= 2) m.cols.(j) in
       if redundant then begin
-        Hashtbl.remove kept j;
+        kept.(j) <- false;
         Array.iter (fun i -> times_covered.(i) <- times_covered.(i) - 1) m.cols.(j)
       end)
     order;
-  List.filter (Hashtbl.mem kept) sol
+  List.filter (fun j -> kept.(j)) sol
 
 let transpose_check m =
   assert (Array.length m.rows = m.n_rows);

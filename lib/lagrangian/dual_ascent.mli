@@ -24,15 +24,28 @@ val run : ?budget:Budget.t -> Covering.Matrix.t -> t
     the trivially feasible point [m = 0], so the returned vector is
     always dual-feasible and the bound always valid. *)
 
+type order
+(** The rows of one matrix by decreasing degree, ties by index: the
+    phase-1 sweep order (phase 2 walks it backwards). *)
+
+val row_order : Covering.Matrix.t -> order
+(** Sort once per matrix; {!Penalties.dual} runs two ascents per column
+    on the same matrix. *)
+
 val run_with_costs :
   ?budget:Budget.t ->
   ?start:float array ->
+  ?order:order ->
   Covering.Matrix.t ->
   costs:float array ->
   t
 (** Same ascent against a modified column-cost vector — the engine behind
     the dual penalties (paper §3.6), where one cost is set to 0 or +∞.
-    [budget] checkpoints as in {!run}. *)
+    [budget] checkpoints as in {!run}.  [order] (default: sorted here)
+    must come from {!row_order} on this very matrix (checked
+    physically).  The caps and the violation and slack folds use
+    [min]/[max] on floats with the semantics of Stdlib's polymorphic
+    ones ([min a b = if a <= b then a else b]). *)
 
 val to_lambda : t -> float array
 (** The vector as initial Lagrangian multipliers λ₀. *)

@@ -1,113 +1,13 @@
 module Matrix = Covering.Matrix
 module Greedy = Covering.Greedy
-module Dense = Covering.Dense
-
-let row_unit m i =
-  let deg = Array.length (Matrix.row m i) in
-  if deg <= 1 then 1e9 else 1. /. float_of_int (deg - 1)
-
-(* Bit-slice variant of the loop below: popcount fresh counts, word-mask
-   coverage updates, the Weighted_rows float sum in ascending row order —
-   arithmetic and tie-breaks identical to the sparse loop. *)
-let run_dense ~rule d m ~reduced_costs =
-  let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
-  let covered = Dense.make_row_set d in
-  let n_uncovered = ref n_rows in
-  let chosen = ref [] in
-  let take j =
-    chosen := j :: !chosen;
-    n_uncovered := !n_uncovered - Dense.cover_col d j ~covered
-  in
-  for j = 0 to n_cols - 1 do
-    if reduced_costs.(j) <= 0. then take j
-  done;
-  let weighted = rule = Greedy.Weighted_rows in
-  while !n_uncovered > 0 do
-    let best = ref (-1) and best_rate = ref infinity in
-    for j = 0 to n_cols - 1 do
-      let n_fresh = Dense.col_fresh d j ~covered in
-      if n_fresh > 0 then begin
-        let c = reduced_costs.(j) in
-        let r =
-          if c <= 0. then c *. float_of_int n_fresh
-          else begin
-            let weight =
-              if weighted then begin
-                let w = ref 0. in
-                Dense.iter_col_fresh d j ~covered (fun i ->
-                    w := !w +. row_unit m i);
-                !w
-              end
-              else 0.
-            in
-            Greedy.rate rule ~cost:c ~n_fresh ~row_weight:weight
-          end
-        in
-        if r < !best_rate then begin
-          best_rate := r;
-          best := j
-        end
-      end
-    done;
-    assert (!best >= 0);
-    take !best
-  done;
-  Matrix.irredundant m (List.sort_uniq Stdlib.compare !chosen)
 
 let run ?(rule = Greedy.Cost_per_row) ?dense m ~reduced_costs =
-  let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
-  if Array.length reduced_costs <> n_cols then
+  if Array.length reduced_costs <> Matrix.n_cols m then
     invalid_arg "Lag_greedy.run: reduced cost length mismatch";
-  if n_rows = 0 then []
+  if Matrix.n_rows m = 0 then []
   else
-    match dense with
-    | Some d when Dense.matrix d == m -> run_dense ~rule d m ~reduced_costs
-    | Some _ -> invalid_arg "Lag_greedy.run: dense mirror of a different matrix"
-    | None ->
-      let covered = Array.make n_rows false in
-      let n_uncovered = ref n_rows in
-      let chosen = ref [] in
-      let take j =
-        chosen := j :: !chosen;
-        Array.iter
-          (fun i ->
-            if not covered.(i) then begin
-              covered.(i) <- true;
-              decr n_uncovered
-            end)
-          (Matrix.col m j)
-      in
-      (* the relaxed optimum: all columns with non-positive reduced cost *)
-      for j = 0 to n_cols - 1 do
-        if reduced_costs.(j) <= 0. then take j
-      done;
-      while !n_uncovered > 0 do
-        let best = ref (-1) and best_rate = ref infinity in
-        for j = 0 to n_cols - 1 do
-          let n_fresh = ref 0 and weight = ref 0. in
-          Array.iter
-            (fun i ->
-              if not covered.(i) then begin
-                incr n_fresh;
-                weight := !weight +. row_unit m i
-              end)
-            (Matrix.col m j);
-          if !n_fresh > 0 then begin
-            let c = reduced_costs.(j) in
-            let r =
-              if c <= 0. then c *. float_of_int !n_fresh
-              else Greedy.rate rule ~cost:c ~n_fresh:!n_fresh ~row_weight:!weight
-            in
-            if r < !best_rate then begin
-              best_rate := r;
-              best := j
-            end
-          end
-        done;
-        assert (!best >= 0);
-        take !best
-      done;
-      Matrix.irredundant m (List.sort_uniq Stdlib.compare !chosen)
+    Matrix.irredundant m
+      (List.sort_uniq Stdlib.compare (Greedy.cover ~rule ?dense m ~costs:reduced_costs))
 
 let run_all_rules ?dense m ~reduced_costs =
   let candidates =

@@ -35,24 +35,26 @@ let dual ?(max_cols = 100) m ~z_best =
   if Matrix.n_cols m > max_cols then nothing
   else begin
     let zb = float_of_int z_best in
-    let base = Array.init (Matrix.n_cols m) (fun j -> float_of_int (Matrix.cost m j)) in
+    let costs = Array.init (Matrix.n_cols m) (fun j -> float_of_int (Matrix.cost m j)) in
     let infinite = big m in
+    let order = Dual_ascent.row_order m in
+    let value () = (Dual_ascent.run_with_costs ~order m ~costs).Dual_ascent.value in
     let forced_in = ref [] and forced_out = ref [] in
     for j = Matrix.n_cols m - 1 downto 0 do
+      let c = costs.(j) in
       (* (5): relax constraint j away; a high dual value means every
          solution avoiding column j is too expensive *)
-      let costs = Array.copy base in
       costs.(j) <- infinite;
-      let w0 = (Dual_ascent.run_with_costs m ~costs).Dual_ascent.value in
+      let w0 = value () in
       if w0 >= zb -. eps then forced_in := j :: !forced_in
       else begin
         (* (6): make column j free; if even then the dual pushes past
            z_best − c_j, taking j cannot beat the incumbent *)
-        let costs = Array.copy base in
         costs.(j) <- 0.;
-        let w1 = (Dual_ascent.run_with_costs m ~costs).Dual_ascent.value in
-        if w1 +. base.(j) >= zb -. eps then forced_out := j :: !forced_out
-      end
+        let w1 = value () in
+        if w1 +. c >= zb -. eps then forced_out := j :: !forced_out
+      end;
+      costs.(j) <- c
     done;
     { forced_in = !forced_in; forced_out = !forced_out }
   end

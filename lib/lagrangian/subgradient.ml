@@ -80,11 +80,16 @@ let run ?(budget = Budget.none) ?(config = default_config)
         List.iter (fun j -> ind.(j) <- 1.) seed_sol;
         ind
     in
-    let best_lambda = ref (Array.copy lambda) in
-    let best_reduced = ref (Relax.lagrangian_costs m lambda) in
+    (* one workspace for the whole ascent: the caps are hoisted out of
+       the loop, and every step below overwrites its buffers in place *)
+    let ws = Relax.workspace ?dense m in
+    let values = ws.Relax.values in
+    let best_lambda = Array.copy lambda in
+    let best_reduced = Relax.lagrangian_costs m lambda in
     let lower_bound = ref neg_infinity in
-    let best_mu = ref (Array.copy mu) in
-    let upper_dual = ref (Relax.dual_lagrangian_value m ~mu) in
+    let best_mu = Array.copy mu in
+    Relax.dual ws mu;
+    let upper_dual = ref values.Relax.w_ld in
     let t = ref config.t0 in
     let since_improve = ref 0 in
     let steps = ref 0 in
@@ -105,17 +110,18 @@ let run ?(budget = Budget.none) ?(config = default_config)
       && not (Budget.tick budget Budget.Subgradient)
     do
       incr steps;
-      let ev = Relax.evaluate ?dense m lambda in
+      Relax.primal ws lambda;
+      let value = values.Relax.z_lp in
       (* track the best bound and the multipliers achieving it *)
-      if ev.Relax.value > !lower_bound +. eps then begin
-        lower_bound := ev.Relax.value;
-        best_lambda := Array.copy lambda;
-        best_reduced := Array.copy ev.Relax.reduced_costs;
+      if value > !lower_bound +. eps then begin
+        lower_bound := value;
+        Array.blit lambda 0 best_lambda 0 n_rows;
+        Array.blit ws.Relax.c_tilde 0 best_reduced 0 n_cols;
         since_improve := 0
       end
       else incr since_improve;
       (match on_step with
-      | Some f -> f ~step:!steps ~value:ev.Relax.value ~best:!lower_bound
+      | Some f -> f ~step:!steps ~value ~best:!lower_bound
       | None -> ());
       if !since_improve >= config.halve_after then begin
         t := !t /. 2.;
@@ -123,11 +129,11 @@ let run ?(budget = Budget.none) ?(config = default_config)
       end;
       (* periodic Lagrangian heuristic (§3.5) *)
       if !steps = 1 || !steps mod config.heuristic_period = 0 then
-        try_solution (Lag_greedy.run ?dense m ~reduced_costs:ev.Relax.reduced_costs);
+        try_solution (Lag_greedy.run ?dense m ~reduced_costs:ws.Relax.c_tilde);
       (* a feasible relaxed solution is a cover worth keeping *)
-      if ev.Relax.violated = 0 then begin
+      if ws.Relax.n_violated = 0 then begin
         let sol = ref [] in
-        Array.iteri (fun j b -> if b then sol := j :: !sol) ev.Relax.in_solution;
+        Array.iteri (fun j b -> if b then sol := j :: !sol) ws.Relax.p_star;
         if !sol <> [] && Matrix.covers m !sol then
           try_solution (Matrix.irredundant m !sol)
       end;
@@ -142,47 +148,60 @@ let run ?(budget = Budget.none) ?(config = default_config)
         stop := true
       else if !t < config.t_min then stop := true
       else begin
-        (* primal update: formula (2) *)
-        let s = ev.Relax.subgradient in
-        let norm2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0. s in
+        (* primal update: formula (2).  [if v <= 0. then 0. else v] is
+           [Float.max 0. v] for every v, ±0 and nan included *)
+        let s = ws.Relax.s in
+        let norm2 = ref 0. in
+        for i = 0 to n_rows - 1 do
+          norm2 := !norm2 +. (s.(i) *. s.(i))
+        done;
+        let norm2 = !norm2 in
         if norm2 < eps then stop := true
         else begin
-          let scale = !t *. Float.abs (ub_est -. ev.Relax.value) /. norm2 in
+          let scale = !t *. Float.abs (ub_est -. value) /. norm2 in
           for i = 0 to n_rows - 1 do
-            lambda.(i) <- Float.max 0. (lambda.(i) +. (scale *. s.(i)))
+            let v = lambda.(i) +. (scale *. s.(i)) in
+            lambda.(i) <- (if v <= 0. then 0. else v)
           done
         end;
         (* dual-side update: descend on w_LD, clamping μ into [0,1] (the
            optimal μ equals the fractional primal optimum, which lives
-           there) *)
-        let w = Relax.dual_lagrangian_value m ~mu in
+           there); the clamp is [Float.min 1. (Float.max 0. v)] *)
+        Relax.dual ws mu;
+        let w = values.Relax.w_ld in
         if w < !upper_dual -. eps then begin
           upper_dual := w;
-          best_mu := Array.copy mu
+          Array.blit mu 0 best_mu 0 n_cols
         end;
-        let g = Relax.dual_lagrangian_subgradient m ~mu in
-        let gnorm2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0. g in
+        let g = ws.Relax.g in
+        let gnorm2 = ref 0. in
+        for j = 0 to n_cols - 1 do
+          gnorm2 := !gnorm2 +. (g.(j) *. g.(j))
+        done;
+        let gnorm2 = !gnorm2 in
         if gnorm2 >= eps then begin
           let lb_ref = Float.max !lower_bound 0. in
           let scale = !t *. Float.abs (w -. lb_ref) /. gnorm2 in
           for j = 0 to n_cols - 1 do
-            mu.(j) <- Float.min 1. (Float.max 0. (mu.(j) -. (scale *. g.(j))))
+            let v = mu.(j) -. (scale *. g.(j)) in
+            let v = if v <= 0. then 0. else v in
+            mu.(j) <- (if v > 1. then 1. else v)
           done
         end
       end
     done;
     (* final refresh of the incumbent at the best multipliers *)
-    try_solution (Lag_greedy.run_all_rules ?dense m ~reduced_costs:!best_reduced);
+    try_solution (Lag_greedy.run_all_rules ?dense m ~reduced_costs:best_reduced);
     let lb = if !lower_bound = neg_infinity then 0. else !lower_bound in
     {
-      lambda = !best_lambda;
-      mu = !best_mu;
+      lambda = best_lambda;
+      mu = best_mu;
       lower_bound = lb;
       upper_dual = !upper_dual;
       best_solution = !best_solution;
       best_cost = !best_cost;
       steps = !steps;
       proven_optimal = !best_cost <= ceil_int lb;
-      reduced_costs = !best_reduced;
+      reduced_costs = best_reduced;
     }
   end

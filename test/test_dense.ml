@@ -331,6 +331,32 @@ let test_solve_identity () =
         (a.Scg.proven_optimal = b.Scg.proven_optimal))
     (Benchsuite.Registry.difficult () @ Benchsuite.Registry.dense ())
 
+(* the Weighted_rows weight of the greedy: an order-sensitive float sum
+   over the fresh rows must equal the ascending fold over the sparse
+   column bit for bit, across word boundaries *)
+let test_fresh_sum () =
+  List.iter
+    (fun (name, n_rows, n_cols, density) ->
+      let m = random_matrix ~name ~n_rows ~n_cols ~density in
+      let d = Dense.of_matrix m in
+      let w = Array.init n_rows (fun i -> 1. /. float_of_int (i + 3)) in
+      let covered = Dense.make_row_set d in
+      for i = 0 to n_rows - 1 do
+        if Random.State.bool word_rng then Dense.set_bit covered i
+      done;
+      for j = 0 to n_cols - 1 do
+        let want =
+          Array.fold_left
+            (fun acc i -> if Dense.mem_bit covered i then acc else acc +. w.(i))
+            0. (Matrix.col m j)
+        in
+        check (name ^ " fresh_sum") true
+          (Int64.equal
+             (Int64.bits_of_float (Dense.fresh_sum d j ~covered w))
+             (Int64.bits_of_float want))
+      done)
+    [ ("fs-small", 40, 30, 0.3); ("fs-wide", 200, 60, 0.25); ("fs-edge", 126, 20, 0.5) ]
+
 let () =
   Alcotest.run "dense"
     [
@@ -348,6 +374,7 @@ let () =
           Alcotest.test_case "eligibility" `Quick test_eligibility;
           Alcotest.test_case "foreign mirror" `Quick
             test_greedy_rejects_foreign_mirror;
+          Alcotest.test_case "fresh_sum" `Quick test_fresh_sum;
         ] );
       ( "mirror",
         [

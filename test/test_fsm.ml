@@ -181,6 +181,9 @@ let refinement_minimum (m : Fsm.Machine.t) =
         | Some (_, out) -> out
         | None -> assert false)
   in
+  (* blocks are keyed by the signatures themselves: a hash of them would
+     merge distinct signatures ([Hashtbl.hash] reads only the first few
+     values of a list) and undercount the minimum *)
   let assign key_of =
     let table = Hashtbl.create 16 in
     let next = ref 0 in
@@ -196,11 +199,11 @@ let refinement_minimum (m : Fsm.Machine.t) =
           b)
       block
   in
-  let current = ref (assign (fun s -> Hashtbl.hash (out_sig s))) in
+  let current = ref (assign (fun s -> out_sig s)) in
   let changed = ref true in
   while !changed do
     Array.blit !current 0 block 0 n;
-    let refined = assign (fun s -> Hashtbl.hash (out_sig s, signature block s)) in
+    let refined = assign (fun s -> (out_sig s, signature block s)) in
     changed := refined <> !current;
     current := refined
   done;

@@ -319,6 +319,283 @@ let test_fixing_promising () =
   let p = L.Fixing.promising m ~reduced_costs:rc ~mu in
   Alcotest.(check (list int)) "promising" [ 0; 2 ] p
 
+(* ------------------------------------------------------------------ *)
+(* Workspace kernels                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* a small member of one of the Randucp families, picked by the seed *)
+let family_matrix seed =
+  let name = Printf.sprintf "kernel-%d" seed and r = seed / 8 in
+  let module R = Benchsuite.Randucp in
+  match seed mod 8 with
+  | 0 -> R.cyclic ~name ~n_rows:(12 + (r mod 20)) ~n_cols:(8 + (r mod 12)) ~k:3 ()
+  | 1 ->
+    R.cyclic ~name ~n_rows:(12 + (r mod 20)) ~n_cols:(8 + (r mod 12)) ~k:4
+      ~cost_spread:3 ()
+  | 2 ->
+    R.dense_cyclic ~name ~n_rows:(16 + (r mod 16)) ~n_cols:(12 + (r mod 12))
+      ~density:0.3 ()
+  | 3 ->
+    R.multi_component ~name ~parts:(2 + (r mod 2)) ~rows_per_part:10 ~cols_per_part:8 ()
+  | 4 ->
+    R.beasley ~name ~n_rows:(10 + (r mod 10)) ~n_cols:(30 + (r mod 30)) ~rows_per_col:3 ()
+  | 5 -> R.powerlaw ~name ~n_rows:(10 + (r mod 20)) ~n_cols:(20 + (r mod 30)) ()
+  | 6 -> R.reducible ~name ~n_rows:(10 + (r mod 20)) ~n_cols:(8 + (r mod 12)) ()
+  | _ -> R.vertex_cover ~name ~n_vertices:(6 + (r mod 10)) ~n_edges:(10 + (r mod 20)) ()
+
+(* λ ≥ 0 with some exact zeros; μ in [0, 1] with some exact bounds *)
+let random_lambda rng m =
+  Array.init (Matrix.n_rows m) (fun _ ->
+      if Random.State.int rng 4 = 0 then 0. else Random.State.float rng 2.0)
+
+let random_mu rng m =
+  Array.init (Matrix.n_cols m) (fun _ ->
+      match Random.State.int rng 4 with
+      | 0 -> 0.
+      | 1 -> 1.
+      | _ -> Random.State.float rng 1.0)
+
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_float a b
+
+(* everything the two kernels write, copied out of the workspace *)
+type snapshot = {
+  c_tilde : float array;
+  p_star : bool array;
+  s : float array;
+  z_lp : float;
+  violated : int;
+  m_star : float array;
+  g : float array;
+  w_ld : float;
+}
+
+let snapshot ws =
+  let module R = L.Relax in
+  {
+    c_tilde = Array.copy ws.R.c_tilde;
+    p_star = Array.copy ws.R.p_star;
+    s = Array.copy ws.R.s;
+    z_lp = ws.R.values.R.z_lp;
+    violated = ws.R.n_violated;
+    m_star = Array.copy ws.R.m_star;
+    g = Array.copy ws.R.g;
+    w_ld = ws.R.values.R.w_ld;
+  }
+
+let same_snapshot a b =
+  same_floats a.c_tilde b.c_tilde && a.p_star = b.p_star && same_floats a.s b.s
+  && same_float a.z_lp b.z_lp && a.violated = b.violated
+  && same_floats a.m_star b.m_star && same_floats a.g b.g && same_float a.w_ld b.w_ld
+
+let run_kernels ws lambda mu =
+  L.Relax.primal ws lambda;
+  L.Relax.dual ws mu;
+  snapshot ws
+
+let prop_workspace_reuse_is_fresh =
+  QCheck.Test.make ~name:"workspace reused at λ₁ then λ₂ = fresh at λ₂, bit for bit"
+    ~count:200 TS.arb_seed (fun seed ->
+      let m = family_matrix seed in
+      let rng = Random.State.make [| seed |] in
+      let l1 = random_lambda rng m and l2 = random_lambda rng m in
+      let u1 = random_mu rng m and u2 = random_mu rng m in
+      let dense = if seed mod 2 = 0 then Some (Dense.of_matrix m) else None in
+      let reused = L.Relax.workspace ?dense m in
+      ignore (run_kernels reused l1 u1);
+      let again = run_kernels reused l2 u2 in
+      same_snapshot again (run_kernels (L.Relax.workspace ?dense m) l2 u2))
+
+let prop_dense_mirror_identical =
+  QCheck.Test.make ~name:"sparse and dense-mirror kernels agree bit for bit" ~count:200
+    TS.arb_seed (fun seed ->
+      let m = family_matrix seed in
+      let rng = Random.State.make [| seed |] in
+      let lambda = random_lambda rng m and mu = random_mu rng m in
+      let dense = Dense.of_matrix m in
+      let sparse_ev = L.Relax.evaluate m lambda
+      and dense_ev = L.Relax.evaluate ~dense m lambda in
+      same_snapshot
+        (run_kernels (L.Relax.workspace m) lambda mu)
+        (run_kernels (L.Relax.workspace ~dense m) lambda mu)
+      && same_floats sparse_ev.L.Relax.reduced_costs dense_ev.L.Relax.reduced_costs
+      && sparse_ev.L.Relax.in_solution = dense_ev.L.Relax.in_solution
+      && same_float sparse_ev.L.Relax.value dense_ev.L.Relax.value
+      && same_floats sparse_ev.L.Relax.subgradient dense_ev.L.Relax.subgradient
+      && sparse_ev.L.Relax.violated = dense_ev.L.Relax.violated)
+
+(* The .mli definitions as plain loops, one quantity at a time:
+   z_LP = Σ_j min(c̃_j, 0) + Σ_i λ_i and s = e − A p*;
+   w_LD = Σ_i max(ẽ_i, 0)·c̄_i + Σ_j μ_j c_j and g_j = c_j − Σ_i a_ij m*_i. *)
+let reference_kernels m lambda mu =
+  let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
+  let cost j = float_of_int (Matrix.cost m j) in
+  let c_tilde =
+    Array.init n_cols (fun j ->
+        Array.fold_left (fun acc i -> acc -. lambda.(i)) (cost j) (Matrix.col m j))
+  in
+  let p_star = Array.map (fun c -> c <= 0.) c_tilde in
+  let z_lp = ref 0. in
+  Array.iter (fun c -> if c <= 0. then z_lp := !z_lp +. c) c_tilde;
+  Array.iter (fun l -> z_lp := !z_lp +. l) lambda;
+  let s =
+    Array.init n_rows (fun i ->
+        let hits = Array.fold_left (fun n j -> if p_star.(j) then n + 1 else n) 0 (Matrix.row m i) in
+        1. -. float_of_int hits)
+  in
+  let caps =
+    Array.init n_rows (fun i ->
+        Array.fold_left (fun acc j -> min acc (cost j)) infinity (Matrix.row m i))
+  in
+  let e_tilde =
+    Array.init n_rows (fun i ->
+        Array.fold_left (fun acc j -> acc -. mu.(j)) 1. (Matrix.row m i))
+  in
+  let m_star = Array.init n_rows (fun i -> if e_tilde.(i) > 0. then caps.(i) else 0.) in
+  let w_ld = ref 0. in
+  for i = 0 to n_rows - 1 do
+    if e_tilde.(i) > 0. then w_ld := !w_ld +. (e_tilde.(i) *. caps.(i))
+  done;
+  for j = 0 to n_cols - 1 do
+    w_ld := !w_ld +. (mu.(j) *. cost j)
+  done;
+  let g =
+    Array.init n_cols (fun j ->
+        Array.fold_left (fun acc i -> acc -. m_star.(i)) (cost j) (Matrix.col m j))
+  in
+  {
+    c_tilde;
+    p_star;
+    s;
+    z_lp = !z_lp;
+    violated = Array.fold_left (fun n x -> if x > 0. then n + 1 else n) 0 s;
+    m_star;
+    g;
+    w_ld = !w_ld;
+  }
+
+let prop_kernels_match_definitions =
+  QCheck.Test.make ~name:"primal and fused dual kernels = the .mli formulas" ~count:200
+    TS.arb_seed (fun seed ->
+      let m = family_matrix seed in
+      let rng = Random.State.make [| seed |] in
+      let lambda = random_lambda rng m and mu = random_mu rng m in
+      let ws = L.Relax.workspace m in
+      same_snapshot (run_kernels ws lambda mu) (reference_kernels m lambda mu)
+      && same_float (L.Relax.dual_lagrangian_value m ~mu) ws.L.Relax.values.L.Relax.w_ld
+      && same_floats (L.Relax.dual_lagrangian_subgradient m ~mu) ws.L.Relax.g
+      && same_floats (L.Relax.min_covering_costs m) ws.L.Relax.caps)
+
+(* The greedy selection as an ascending scan per pick: strict [<] from
+   +∞, so ties go to the lower index. *)
+let reference_cover rule m ~costs =
+  let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
+  let covered = Array.make n_rows false and left = ref n_rows and chosen = ref [] in
+  let take j =
+    chosen := j :: !chosen;
+    Array.iter
+      (fun i ->
+        if not covered.(i) then begin
+          covered.(i) <- true;
+          decr left
+        end)
+      (Matrix.col m j)
+  in
+  let row_unit i =
+    let deg = Array.length (Matrix.row m i) in
+    if deg <= 1 then 1e9 else 1. /. float_of_int (deg - 1)
+  in
+  for j = 0 to n_cols - 1 do
+    if costs.(j) <= 0. then take j
+  done;
+  while !left > 0 do
+    let best = ref (-1) and best_rate = ref infinity in
+    for j = 0 to n_cols - 1 do
+      let n_fresh = ref 0 and weight = ref 0. in
+      Array.iter
+        (fun i ->
+          if not covered.(i) then begin
+            incr n_fresh;
+            weight := !weight +. row_unit i
+          end)
+        (Matrix.col m j);
+      if !n_fresh > 0 then begin
+        let c = costs.(j) in
+        let r =
+          if c <= 0. then c *. float_of_int !n_fresh
+          else Greedy.rate rule ~cost:c ~n_fresh:!n_fresh ~row_weight:!weight
+        in
+        if r < !best_rate then begin
+          best_rate := r;
+          best := j
+        end
+      end
+    done;
+    if !best < 0 then failwith "reference_cover: no pickable column";
+    take !best
+  done;
+  List.rev !chosen
+
+let heap_matches_scan m ~costs =
+  let dense = Dense.of_matrix m in
+  List.for_all
+    (fun rule ->
+      let want = reference_cover rule m ~costs in
+      Greedy.cover ~rule m ~costs = want && Greedy.cover ~rule ~dense m ~costs = want)
+    Greedy.all_rules
+
+let prop_heap_greedy_is_scan =
+  QCheck.Test.make ~name:"heap greedy = ascending scan, all rules, both paths" ~count:200
+    TS.arb_seed (fun seed ->
+      let m = family_matrix seed in
+      let rng = Random.State.make [| seed |] in
+      let integer = Array.init (Matrix.n_cols m) (fun j -> float_of_int (Matrix.cost m j)) in
+      heap_matches_scan m ~costs:integer
+      && heap_matches_scan m ~costs:(L.Relax.lagrangian_costs m (random_lambda rng m)))
+
+(* uniform costs: rates tie all the time, so the index tie-break decides *)
+let prop_heap_greedy_uniform_ties =
+  QCheck.Test.make ~name:"heap greedy = ascending scan under uniform costs" ~count:150
+    TS.arb_seed (fun seed ->
+      let name = Printf.sprintf "ties-%d" seed in
+      let m =
+        match seed mod 3 with
+        | 0 -> Benchsuite.Randucp.cyclic ~name ~n_rows:24 ~n_cols:16 ~k:3 ()
+        | 1 -> Benchsuite.Randucp.dense_cyclic ~name ~n_rows:24 ~n_cols:16 ~density:0.25 ()
+        | _ -> Benchsuite.Randucp.vertex_cover ~name ~n_vertices:12 ~n_edges:24 ()
+      in
+      let uniform = Array.make (Matrix.n_cols m) 1. in
+      (* one λ value everywhere: reduced costs 1 − k·λ tie by degree *)
+      let flat = Array.make (Matrix.n_rows m) (float_of_int (1 + (seed mod 4)) /. 8.) in
+      heap_matches_scan m ~costs:uniform
+      && heap_matches_scan m ~costs:(L.Relax.lagrangian_costs m flat))
+
+(* the per-step kernels allocate nothing once the workspace exists: not
+   even z_LP or w_LD are boxed *)
+let test_kernels_allocate_nothing () =
+  let m =
+    Benchsuite.Randucp.dense_cyclic ~name:"alloc" ~n_rows:40 ~n_cols:30 ~density:0.25 ()
+  in
+  let lambda = Array.make (Matrix.n_rows m) 0.3 and mu = Array.make (Matrix.n_cols m) 0.5 in
+  List.iter
+    (fun (path, dense) ->
+      let ws = L.Relax.workspace ?dense m in
+      L.Relax.primal ws lambda;
+      L.Relax.dual ws mu;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        L.Relax.primal ws lambda
+      done;
+      let w1 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        L.Relax.dual ws mu
+      done;
+      let w2 = Gc.minor_words () in
+      Alcotest.(check (float 0.)) (path ^ " primal words") 0. (w1 -. w0);
+      Alcotest.(check (float 0.)) (path ^ " dual words") 0. (w2 -. w1))
+    [ ("sparse", None); ("dense", Some (Dense.of_matrix m)) ]
+
 let () =
   Alcotest.run "lagrangian"
     [
@@ -336,6 +613,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_dual_ascent_dominates_mis;
           Alcotest.test_case "fig1" `Quick test_dual_ascent_fig1;
           QCheck_alcotest.to_alcotest prop_uniform_dual_integer_rounds_to_independent_set;
+        ] );
+      ( "kernels",
+        [
+          QCheck_alcotest.to_alcotest prop_workspace_reuse_is_fresh;
+          QCheck_alcotest.to_alcotest prop_dense_mirror_identical;
+          QCheck_alcotest.to_alcotest prop_kernels_match_definitions;
+          QCheck_alcotest.to_alcotest prop_heap_greedy_is_scan;
+          QCheck_alcotest.to_alcotest prop_heap_greedy_uniform_ties;
+          Alcotest.test_case "no allocation" `Quick test_kernels_allocate_nothing;
         ] );
       ("lag greedy", [ QCheck_alcotest.to_alcotest prop_lag_greedy_feasible ]);
       ( "subgradient",
