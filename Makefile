@@ -41,10 +41,11 @@ bench-dense:
 	dune exec bench/main.exe -- --no-csv --table dense --reduce-reps 5 \
 	  --dense-json BENCH_dense.json
 
-# ZDD manager lifecycle: the generational collector and chain fast
-# paths on the full implicit fixpoint (registry suites plus seeded
-# large instances), leaving BENCH_zdd.json behind; every gated fact is
-# machine-independent (fingerprints, peak ratios, the node-ceiling demo)
+# ZDD manager lifecycle: the row-family build, then the generational
+# collector and chain fast paths on the full implicit fixpoint (registry
+# suites plus seeded large instances), leaving BENCH_zdd.json behind;
+# every gated fact is machine-independent (fingerprints, gc-on peaks,
+# the node ceiling, chain hits)
 bench-zdd:
 	dune exec bench/main.exe -- --no-csv --table zdd --zdd-json BENCH_zdd.json
 

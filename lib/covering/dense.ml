@@ -18,16 +18,14 @@ let word_bits = Sys.int_size
 (* Popcount via a 16-bit lookup table: the SWAR constants do not fit the
    63-bit int literal range, and four byte-table lookups beat a branchy
    loop by a wide margin.  The top chunk [x lsr 48] is at most 15 bits
-   wide, so it indexes the same table. *)
+   wide, so it indexes the same table.  Each entry extends the one for
+   [i lsr 1] by the dropped low bit, so the table fills in one pass at
+   process start. *)
 let pop16 =
-  let t = Bytes.create 65536 in
-  for i = 0 to 65535 do
-    let n = ref 0 and x = ref i in
-    while !x <> 0 do
-      n := !n + (!x land 1);
-      x := !x lsr 1
-    done;
-    Bytes.unsafe_set t i (Char.unsafe_chr !n)
+  let t = Bytes.make 65536 '\000' in
+  for i = 1 to 65535 do
+    Bytes.unsafe_set t i
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t (i lsr 1)) + (i land 1)))
   done;
   t
 

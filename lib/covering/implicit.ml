@@ -13,23 +13,8 @@ let of_matrix ?rows m =
       invalid_arg "Implicit.of_matrix: matrix already re-indexed"
   done;
   (* [rows], when given, is a pre-built universe for this same matrix (the
-     serve cache checks one out by request digest) — skip the rebuild.
-     Otherwise build it row by row with a GC safe point between unions:
-     the build is where most of the implicit phase's garbage is allocated
-     (every intermediate accumulator dies on the next union), and between
-     unions the only family that must survive is the accumulator itself
-     (registered roots are pinned by the manager). *)
-  let rows =
-    match rows with
-    | Some z -> z
-    | None ->
-      let acc = ref Zdd.empty in
-      for i = 0 to Matrix.n_rows m - 1 do
-        acc := Zdd.union !acc (Zdd.of_set (Array.to_list (Matrix.row m i)));
-        ignore (Zdd.Gc.maybe_collect ~roots:[ !acc ] ())
-      done;
-      !acc
-  in
+     serve cache checks one out by request digest) — skip the rebuild *)
+  let rows = match rows with Some z -> z | None -> Matrix.to_zdd m in
   {
     rows;
     n_cols = Matrix.n_cols m;

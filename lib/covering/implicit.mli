@@ -25,9 +25,13 @@ type t = {
 val of_matrix : ?rows:Zdd.t -> Matrix.t -> t
 (** Encode an explicit matrix.  The matrix must carry fresh identifiers
     (identifiers = indices), which holds for matrices straight out of
-    {!Matrix.create}.  [rows], when given, must be the universe family
-    of this very matrix (e.g. checked out of the serve cache by request
-    digest) and skips the {!Matrix.to_zdd} rebuild. *)
+    {!Matrix.create}.  The rows family is built by {!Matrix.to_zdd} in
+    one bottom-up pass over the lexicographically sorted rows: the cost
+    is the sort plus one unique-table lookup per distinct row prefix,
+    the unique table gains exactly [Zdd.size] of the result and no
+    garbage, and no collection runs.  [rows], when given, must be the
+    universe family of this very matrix (e.g. checked out of the serve
+    cache by request digest) and skips the rebuild. *)
 
 val of_rows : n_cols:int -> ?cost:int array -> Zdd.t -> t
 (** Wrap a rows-family directly (cost defaults to uniform 1). *)

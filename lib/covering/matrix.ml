@@ -89,7 +89,7 @@ let of_parts ~n_cols ~rows ~cost ~row_ids ~col_ids =
 let of_sets ?cost ~n_cols zdd =
   create ?cost ~n_cols (Zdd.to_sets zdd)
 
-let to_zdd m = Zdd.of_sets (Array.to_list (Array.map Array.to_list m.rows))
+let to_zdd m = Zdd.of_arrays m.rows
 
 let n_rows m = m.n_rows
 let n_cols m = m.n_cols

@@ -35,7 +35,9 @@ val of_sets : ?cost:int array -> n_cols:int -> Zdd.t -> t
     into an explicit matrix — the paper's [Decode] step. *)
 
 val to_zdd : t -> Zdd.t
-(** Encode the rows as a ZDD over column {e indices} (not identifiers). *)
+(** Encode the rows as a ZDD over column {e indices} (not identifiers),
+    in one bottom-up pass ({!Zdd.of_arrays}): the unique table gains
+    exactly the result's nodes. *)
 
 val submatrix : t -> keep_rows:bool array -> keep_cols:bool array -> t
 (** Restriction, preserving identifiers.  Rows that lose all their columns

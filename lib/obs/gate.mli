@@ -23,12 +23,12 @@
     - [{"mode":"zdd", ...}] — the ZDD manager-lifecycle benchmark
       ([BENCH_zdd.json]).  Gated facts are machine-independent:
       fingerprint identity across the gc/chain variants
-      ([identical_results], per-instance [identical]), the
-      gc-on/gc-off peak-occupancy ratio per instance against the
-      baseline's ratio (+ tolerance), the node-ceiling demonstration
-      ([newly_implicit] must not shrink, [under_ceiling_gc_on] must
-      stay true where the baseline says so) and the chain fast paths
-      firing ([chain_hits] > 0).  Wall seconds are echoed but never
+      ([identical_results], per-instance [identical]), each
+      instance's gc-on peak occupancy ([gc_on.peak_nodes]) against the
+      baseline's (+ tolerance), the node ceiling
+      ([under_ceiling_gc_on] must stay true where the baseline says
+      so) and the chain fast paths firing ([chain_hits] > 0).  Wall
+      seconds and the build's node counts are echoed but never
       gated.
     - [{"table":"par", ...}] — the parallel-solve comparison
       ([BENCH_par.json]).  Sequential/parallel result identity is a

@@ -241,10 +241,14 @@ let mark_live st extra_roots =
 (* Sweep after a full mark.  A minor sweep scans only the nursery
    (sound because parents are always younger than their children, so a
    surviving old node can never point at a swept young one); survivors
-   are promoted by clearing [young].  Every operation cache is reset:
-   a stale cache hit could hand out a node that was just removed from
-   the unique table, and a later [mk] of the same triple would then
-   build a physically distinct duplicate, breaking canonicity.
+   are promoted by clearing [young].  A sweep that reclaims anything
+   resets every operation cache: a stale cache hit could hand out a node
+   that was just removed from the unique table, and a later [mk] of the
+   same triple would then build a physically distinct duplicate,
+   breaking canonicity.  A sweep that reclaims nothing keeps them: every
+   cached result is still in the table, and tags are never reused, so no
+   entry can be stale — and the reduction fixpoint, which collects
+   between steps, keeps its memo across a working set that is all live.
    Returns [(scope, reclaimed)] where [scope] is how many table entries
    the sweep examined. *)
 let sweep_st st ~extra_roots ~major =
@@ -281,7 +285,7 @@ let sweep_st st ~extra_roots ~major =
   if major then st.major_collections <- st.major_collections + 1;
   st.reclaimed_total <- st.reclaimed_total + reclaimed;
   st.live_after_last <- Unique.length st.unique;
-  clear_caches_st st;
+  if reclaimed > 0 then clear_caches_st st;
   (scope, reclaimed)
 
 module Gc = struct
@@ -807,19 +811,75 @@ let fold_sets f ~init ~f:step =
 
 let to_sets f = List.rev (fold_sets f ~init:[] ~f:(fun acc s -> s :: acc))
 
-let of_sets sets =
+(* ------------------------------------------------------------------ *)
+(* Family construction                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A family is the union of its members' chains (Bryant, "Chain
+   Reduction for Binary and Zero-Suppressed Decision Diagrams"), and a
+   lexicographically sorted member list lays that union out directly:
+   the sets sharing a prefix form one contiguous block, the block's
+   distinct next elements are the lo chain of the node that prefix
+   reaches, and each element's sub-block is that chain node's hi child.
+   So the family is built bottom-up in one pass, children before
+   parents, with no union and no intermediate family: every [mk] either
+   creates a node of the result or finds it already shared. *)
+
+(* [s] ascending without repeats: as given when it already is (matrix
+   rows are), otherwise a sorted deduplicated copy. *)
+let normalise_set s =
+  let n = Array.length s in
+  let rec ascending i = i >= n || (s.(i - 1) < s.(i) && ascending (i + 1)) in
+  let s =
+    if ascending 1 then s
+    else Array.of_list (List.sort_uniq Int.compare (Array.to_list s))
+  in
+  if n > 0 && s.(0) < 0 then invalid_arg "Zdd.of_sets: negative element";
+  s
+
+(* Lexicographic order of ascending sets; a proper prefix sorts first,
+   so ∅ precedes every other set. *)
+let compare_sets (a : elt array) (b : elt array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la then if i = lb then 0 else -1
+    else if i = lb then 1
+    else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+    else go (i + 1)
+  in
+  go 0
+
+let of_arrays sets =
   let st = state () in
-  List.fold_left
-    (fun acc s ->
-      let one =
-        let sorted = List.sort_uniq Stdlib.compare s in
-        List.iter
-          (fun v -> if v < 0 then invalid_arg "Zdd.of_sets: negative element")
-          sorted;
-        List.fold_left (fun acc v -> mk st v acc empty) base (List.rev sorted)
-      in
-      union_st st acc one)
-    empty sets
+  let sets = Array.map normalise_set sets in
+  Array.stable_sort compare_sets sets;
+  (* [build lo hi d]: the suffixes from position [d] of the members
+     [sets.(lo .. hi-1)], which share their first [d] elements.  Members
+     ending at [d] (the ∅ suffix, repeated members included) sort first.
+     The loop builds the lo chain, last element block first, so the
+     recursion only deepens along a set and stack depth is bounded by
+     the longest one. *)
+  let rec build lo hi d =
+    let first = ref lo in
+    while !first < hi && Array.length sets.(!first) = d do
+      incr first
+    done;
+    let acc = ref (if !first > lo then base else empty) in
+    let stop = ref hi in
+    while !stop > !first do
+      let v = sets.(!stop - 1).(d) in
+      let start = ref (!stop - 1) in
+      while !start > !first && sets.(!start - 1).(d) = v do
+        decr start
+      done;
+      acc := mk st v (build !start !stop (d + 1)) !acc;
+      stop := !start
+    done;
+    !acc
+  in
+  build 0 (Array.length sets) 0
+
+let of_sets sets = of_arrays (Array.of_list (List.map Array.of_list sets))
 
 let size f =
   let seen : unit Cache1.t = Cache1.create 256 in

@@ -35,7 +35,21 @@ val of_set : elt list -> t
 (** The family containing exactly the given set (duplicates ignored). *)
 
 val of_sets : elt list list -> t
-(** Union of [of_set] over the list. *)
+(** The family of the given sets: the union of [of_set] over the list
+    (members may repeat, be unsorted or hold repeated elements).  Built
+    by {!of_arrays}. *)
+
+val of_arrays : elt array array -> t
+(** [of_sets] over arrays, built without any union: the members are
+    sorted (each set ascending, then the sets lexicographically) and the
+    diagram is laid out bottom-up in one pass, so each node of the result
+    is created exactly once, children before parents, and nothing else is
+    allocated in the unique table.  Cost: the sort, O(n log n) set
+    comparisons for n sets, plus one unique-table lookup per (set prefix,
+    next element) pair, i.e. at most the total element count.  Recursion
+    depth is bounded by the longest set.  Sets already ascending without
+    repeats (matrix rows) are used as given; the input is not modified.
+    @raise Invalid_argument on a negative element. *)
 
 (** {1 Structure} *)
 
@@ -144,8 +158,10 @@ val to_sets : t -> elt list list
     allocator, operation caches, collector).  The managers have a real
     lifecycle: live families are pinned via {!Root} handles, and dead
     nodes are reclaimed by generational mark-and-sweep ({!Gc}), with
-    every operation cache invalidated on collection so stale hits can
-    never resurrect a swept node. *)
+    every operation cache invalidated by a collection that reclaims
+    anything, so stale hits can never resurrect a swept node (a
+    collection that reclaims nothing keeps them: no entry can be
+    stale). *)
 
 val default_initial_size : int
 (** 65_536 — the out-of-the-box unique-table size. *)

@@ -49,6 +49,29 @@ let test_popcount_edges () =
   check_int "top bit" 1 (Dense.popcount (1 lsl (Dense.word_bits - 1)));
   check_int "min_int" 1 (Dense.popcount min_int)
 
+(* every entry of the 16-bit table behind [popcount], against the
+   shift-and-add bit loop, read through each 16-bit chunk of the word *)
+let test_popcount_table () =
+  let bit_loop i =
+    let n = ref 0 and x = ref i in
+    while !x <> 0 do
+      n := !n + (!x land 1);
+      x := !x lsr 1
+    done;
+    !n
+  in
+  let wrong = ref [] in
+  for i = 0 to 0xffff do
+    List.iter
+      (fun shift ->
+        (* the top chunk holds only [word_bits - 48] bits *)
+        let fits = shift < 48 || i < 1 lsl (Dense.word_bits - 48) in
+        if fits && Dense.popcount (i lsl shift) <> bit_loop i then
+          wrong := (i, shift) :: !wrong)
+      [ 0; 16; 32; 48 ]
+  done;
+  check_int "entries differing from the bit loop" 0 (List.length !wrong)
+
 let test_iter_bits_random () =
   for _ = 1 to 500 do
     let w = random_word () in
@@ -364,6 +387,7 @@ let () =
         [
           Alcotest.test_case "popcount random" `Quick test_popcount_random;
           Alcotest.test_case "popcount edges" `Quick test_popcount_edges;
+          Alcotest.test_case "popcount table" `Quick test_popcount_table;
           Alcotest.test_case "iter_bits" `Quick test_iter_bits_random;
           Alcotest.test_case "words_for" `Quick test_words_for;
         ] );

@@ -468,6 +468,43 @@ let test_gate_table () =
   in
   checkb "slowdown fails" false v.Obs.Gate.pass
 
+let zdd_json ?(identical = true) ?(chain_hits = 10) instances =
+  Json.Obj
+    [
+      ("mode", Json.String "zdd");
+      ("identical_results", Json.Bool identical);
+      ("chain_hits", Json.Int chain_hits);
+      ( "instances",
+        Json.List
+          (List.map
+             (fun (name, peak, under) ->
+               Json.Obj
+                 [
+                   ("name", Json.String name);
+                   ("identical", Json.Bool identical);
+                   ("under_ceiling_gc_on", Json.Bool under);
+                   ("gc_on", Json.Obj [ ("peak_nodes", Json.Int peak) ]);
+                 ])
+             instances) );
+    ]
+
+let test_gate_zdd () =
+  let baseline = zdd_json [ ("a", 1000, true); ("b", 50, true) ] in
+  let check fresh = (Obs.Gate.check ~baseline ~fresh ()).Obs.Gate.pass in
+  checkb "same peaks pass" true (check (zdd_json [ ("a", 1000, true); ("b", 50, true) ]));
+  checkb "lower peaks pass" true (check (zdd_json [ ("a", 300, true); ("b", 20, true) ]));
+  checkb "peak within tolerance passes" true
+    (check (zdd_json [ ("a", 1300, true); ("b", 50, true) ]));
+  checkb "peak past tolerance fails" false
+    (check (zdd_json [ ("a", 1500, true); ("b", 50, true) ]));
+  checkb "leaving the ceiling fails" false
+    (check (zdd_json [ ("a", 1000, false); ("b", 50, true) ]));
+  checkb "variant mismatch fails" false
+    (check (zdd_json ~identical:false [ ("a", 1000, true); ("b", 50, true) ]));
+  checkb "no chain hits fails" false
+    (check (zdd_json ~chain_hits:0 [ ("a", 1000, true); ("b", 50, true) ]));
+  checkb "missing instance fails" false (check (zdd_json [ ("a", 1000, true) ]))
+
 let test_gate_unknown_shape () =
   let v =
     Obs.Gate.check ~baseline:(Json.Obj [ ("what", Json.Int 1) ])
@@ -513,6 +550,7 @@ let () =
           Alcotest.test_case "per-instance tolerance" `Quick
             test_gate_per_instance_tolerance;
           Alcotest.test_case "table" `Quick test_gate_table;
+          Alcotest.test_case "zdd" `Quick test_gate_zdd;
           Alcotest.test_case "unknown shape" `Quick test_gate_unknown_shape;
         ] );
     ]

@@ -66,6 +66,26 @@ let arb_family =
         (List.map (fun s -> "{" ^ String.concat "," (List.map string_of_int s) ^ "}") ls))
     gen_family
 
+(* families that stress the one-pass constructor: members drawn from a
+   small pool (duplicate sets), pool members extended past their largest
+   element (shared prefixes), doubled (repeated elements) or shuffled
+   (unsorted), ∅ members, and the empty list *)
+let gen_messy_family =
+  let open QCheck.Gen in
+  let set = list_size (int_bound 6) (int_bound 11) in
+  list_size (int_range 1 4) set >>= fun pool ->
+  let member =
+    oneof
+      [
+        oneofl pool;
+        map2 (fun p ext -> p @ List.map (( + ) 12) ext) (oneofl pool) set;
+        map (fun p -> p @ p) (oneofl pool);
+        oneofl pool >>= shuffle_l;
+        return [];
+      ]
+  in
+  list_size (int_bound 12) member
+
 let zdd_of_lists ls = Zdd.of_sets ls
 let model_of_lists = Model.of_lists
 
@@ -107,6 +127,18 @@ let test_of_set () =
   check "mem unsorted" (Zdd.mem [ 5; 1; 3 ] z);
   check "not mem subset" (not (Zdd.mem [ 1; 3 ] z));
   Alcotest.(check (list (list int))) "to_sets" [ [ 1; 3; 5 ] ] (Zdd.to_sets z)
+
+let test_of_sets_edges () =
+  check "no sets" (Zdd.is_empty (Zdd.of_sets []));
+  check "only the empty set" (Zdd.is_base (Zdd.of_sets [ []; [] ]));
+  Alcotest.check_raises "negative element"
+    (Invalid_argument "Zdd.of_sets: negative element") (fun () ->
+      ignore (Zdd.of_sets [ [ 1 ]; [ 3; -2; 3 ] ]));
+  (* unsorted members are normalised on a copy, never in place *)
+  let rows = [| [| 4; 1; 4 |]; [| 0; 2 |] |] in
+  let z = Zdd.of_arrays rows in
+  check "input untouched" (rows = [| [| 4; 1; 4 |]; [| 0; 2 |] |]);
+  Alcotest.(check (list (list int))) "members" [ [ 0; 2 ]; [ 1; 4 ] ] (Zdd.to_sets z)
 
 let test_singletons () =
   let z = Zdd.of_sets [ [ 0 ]; [ 2 ]; [ 1; 3 ]; [] ] in
@@ -208,6 +240,12 @@ let algebra_props =
 
 let props =
   [
+    (* the union fold [of_sets] replaced, kept as its reference *)
+    QCheck.Test.make ~name:"of_sets == fold of union/of_set" ~count:500
+      (QCheck.make ~print:QCheck.Print.(list (list int)) gen_messy_family)
+      (fun l ->
+        Zdd.equal (Zdd.of_sets l)
+          (List.fold_left (fun acc s -> Zdd.union acc (Zdd.of_set s)) Zdd.empty l));
     binop_prop "union" Zdd.union Model.union;
     binop_prop "inter" Zdd.inter Model.inter;
     binop_prop "diff" Zdd.diff Model.diff;
@@ -248,6 +286,7 @@ let () =
         [
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "of_set" `Quick test_of_set;
+          Alcotest.test_case "of_sets edges" `Quick test_of_sets_edges;
           Alcotest.test_case "singletons" `Quick test_singletons;
           Alcotest.test_case "support" `Quick test_support;
           Alcotest.test_case "min_card" `Quick test_min_card;

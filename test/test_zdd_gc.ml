@@ -61,7 +61,24 @@ let test_canonicity_after_collect () =
   (* operations on survivors still agree with the model *)
   checkb "union idempotent" true (Zdd.equal f (Zdd.union f g));
   checkb "minimal stable" true
-    (Zdd.equal (Zdd.minimal f) (Zdd.minimal (Zdd.of_sets sets)))
+    (Zdd.equal (Zdd.minimal f) (Zdd.minimal (Zdd.of_sets sets)));
+  (* a sweep that reclaims nothing keeps the operation caches and one
+     that reclaims something clears them; after either, repeating an
+     operation must return the node a fresh rebuild finds — after the
+     second sweep the earlier result is gone, so a stale cache entry
+     would hand back a node the rebuild cannot find *)
+  let a = build_family 4 and b = build_family 6 in
+  let u = Zdd.union a b in
+  let m = Zdd.minimal u in
+  let m_sets = Zdd.to_sets m in
+  let repeat_is_canonical () =
+    Zdd.equal (Zdd.minimal (Zdd.union a b)) (Zdd.of_sets m_sets)
+  in
+  ignore (Zdd.Gc.collect ~roots:[ f; a; b; u; m ] ());
+  checki "nothing left to reclaim" 0 (Zdd.Gc.collect ~roots:[ f; a; b; u; m ] ());
+  checkb "canonical after a zero-yield sweep" true (repeat_is_canonical ());
+  checkb "operation result reclaimed" true (Zdd.Gc.collect ~roots:[ f; a; b ] () > 0);
+  checkb "canonical after a reclaiming sweep" true (repeat_is_canonical ())
 
 let test_peak_monotone () =
   let f = build_family 5 in
@@ -141,6 +158,40 @@ let test_gc_disabled () =
         (Zdd.Gc.maybe_collect ~roots:[ live ] ()))
 
 (* ------------------------------------------------------------------ *)
+(* universe build                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* the row family is laid out in one pass: in a pristine manager the
+   unique table holds exactly the result's nodes afterwards, and never
+   held more (no intermediate union was built and dropped) *)
+let test_build_allocates_result_only () =
+  let open Benchsuite.Randucp in
+  List.iter
+    (fun (name, mk) ->
+      let nodes, peak, size =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let p = Covering.Implicit.of_matrix (mk ()) in
+               (Zdd.node_count (), Zdd.peak_node_count (), Zdd.size p.Covering.Implicit.rows)))
+      in
+      checki (name ^ ": nodes created") size nodes;
+      checki (name ^ ": peak") size peak)
+    [
+      ("reducible", fun () -> reducible ~name:"r" ~n_rows:300 ~n_cols:120 ());
+      ("cyclic", fun () -> cyclic ~name:"c" ~n_rows:400 ~n_cols:90 ~k:5 ());
+      ( "dense_cyclic",
+        fun () -> dense_cyclic ~name:"d" ~n_rows:120 ~n_cols:60 ~density:0.3 () );
+      ("beasley", fun () -> beasley ~name:"b" ~n_rows:100 ~n_cols:600 ~rows_per_col:4 ());
+      ("vertex_cover", fun () -> vertex_cover ~name:"v" ~n_vertices:80 ~n_edges:300 ());
+      ("powerlaw", fun () -> powerlaw ~name:"p" ~n_rows:300 ~n_cols:400 ());
+      ( "planted",
+        fun () ->
+          fst (planted ~name:"pl" ~blocks:60 ~rows_per_block:6 ~decoys_per_block:3 ~cross:10 ()) );
+      ( "multi_component",
+        fun () -> multi_component ~name:"m" ~parts:4 ~rows_per_part:60 ~cols_per_part:30 () );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* solver differentials (fresh domain per run)                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -192,7 +243,11 @@ let same_answer ctx a b =
   checki (ctx ^ ": lower bound") a.lower_bound b.lower_bound;
   checkb (ctx ^ ": optimal") a.proven_optimal b.proven_optimal
 
-let differential_names = [ "bench1"; "t1"; "test4" ]
+(* bench1, t1 and test4 leave no garbage: their rows build in one pass
+   and their reductions keep every node alive.  ucp-easy13's implicit
+   fixpoint still produces dead intermediates, so the forced collector
+   has something to reclaim. *)
+let differential_names = [ "bench1"; "t1"; "test4"; "ucp-easy13" ]
 
 let test_differential_gc () =
   (* small instances may not allocate enough between safe points to
@@ -249,6 +304,11 @@ let () =
         [
           Alcotest.test_case "threshold" `Quick test_maybe_collect_threshold;
           Alcotest.test_case "disabled" `Quick test_gc_disabled;
+        ] );
+      ( "build",
+        [
+          Alcotest.test_case "result nodes only" `Quick
+            test_build_allocates_result_only;
         ] );
       ( "differential",
         [
