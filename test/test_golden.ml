@@ -1,10 +1,13 @@
 (* Golden corpus: the full ZDD_SCG answer under the default configuration,
-   pinned for the registry's difficult and dense instances and a few
-   seeded generator cores.  Each answer is one line: cost, lower bound,
-   status, subgradient steps, heuristic and penalty fixes, iterations,
-   best iteration and the cover itself.  Any change to the Lagrangian
+   pinned for the registry's difficult and dense instances, a few seeded
+   generator cores, and the registry's two-level and multi-output
+   instances.  Each answer is one line: cost, lower bound, status,
+   subgradient steps, heuristic and penalty fixes, iterations, best
+   iteration and the cover itself.  Any change to the Lagrangian
    kernels, the greedy or the descent that moves one float moves one of
-   these numbers.
+   these numbers.  The two-level matrices come from the
+   [Covering.From_logic] bridge and the cover lists column indices, so
+   these lines also pin the bridge's row and column order.
 
    The expected lines live in [golden.expected].  After a declared change
    of behaviour, regenerate them with
@@ -14,6 +17,12 @@
 module Matrix = Covering.Matrix
 module Randucp = Benchsuite.Randucp
 module Registry = Benchsuite.Registry
+
+(* parity4 … mpla-6x4: the registry instances built through the bridge *)
+let through_bridge inst =
+  match Lazy.force inst.Registry.problem with
+  | Registry.Two_level _ | Registry.Multi_level _ -> true
+  | Registry.Raw _ -> false
 
 (* (name, matrix, subgradient-step budget) *)
 let corpus () =
@@ -47,6 +56,7 @@ let corpus () =
       core ~steps:400 "powerlaw-200x800" (fun () ->
           Randucp.powerlaw ~name:"golden-powerlaw" ~n_rows:200 ~n_cols:800 ());
     ]
+  @ List.map registry (List.filter through_bridge (Registry.easy ()))
 
 let status_string = function
   | Scg.Optimal -> "optimal"
