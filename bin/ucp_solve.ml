@@ -17,12 +17,14 @@
      3  resource budget exhausted or interrupted by SIGINT/SIGTERM — the
         best feasible answer found is still printed, with its (valid)
         lower bound (a second signal aborts immediately with 130)
-     4  parse error in an input file
+     4  parse error in an input file, or a well-formed PLA the covering
+        bridge rejects (nothing to cover, too many inputs or outputs)
      5  input file not found or unreadable
      6  unknown benchmark instance
      7  infeasible: some row of the matrix has no covering column
-   With several inputs the worst outcome wins: 7 if any instance is
-   infeasible, else 3 if any budget tripped, else 0. *)
+   With several inputs the worst outcome wins: 4 if the bridge rejected
+   any input, else 7 if any instance is infeasible, else 3 if any budget
+   tripped, else 0. *)
 
 open Cmdliner
 
@@ -90,6 +92,17 @@ let load_input ~budget input =
   with Load_error { code; msg } ->
     Fmt.epr "ucp_solve: %s@." msg;
     exit code
+
+(* A well-formed PLA the bridge cannot turn into a covering problem
+   (nothing to cover, more than 24 inputs, more than 16 outputs) is bad
+   input, so it exits 4 like a parse error; ucp_serve answers the same
+   bytes with PARSE_ERROR.  Only the build is guarded: an exception from
+   the solve itself stays a crash. *)
+let build_bridge ~telemetry ~name ~matrix build =
+  match Scg.bridge ~telemetry ~matrix build with
+  | bridge -> bridge
+  | exception Invalid_argument what ->
+    raise (Load_error { code = 4; msg = Fmt.str "%s: %s" name what })
 
 let classify input_kind p =
   match input_kind with
@@ -185,6 +198,11 @@ let solve_matrix ppf ~budget ~telemetry ~config solver max_nodes m =
 let solve_spec ppf ~budget ~telemetry ~config solver max_nodes
     (spec : Benchsuite.Plagen.spec) =
   let module J = Telemetry.Json in
+  let build () =
+    build_bridge ~telemetry ~name:spec.name
+      ~matrix:(fun b -> b.Covering.From_logic.matrix)
+      (fun () -> Covering.From_logic.build ~on:spec.on ~dc:spec.dc ())
+  in
   match solver with
   | Solver_espresso ->
     let strong =
@@ -213,24 +231,28 @@ let solve_spec ppf ~budget ~telemetry ~config solver max_nodes
     in
     [ ("solver", J.String "espresso"); fields "normal" normal; fields "strong" strong ]
   | Solver_scg ->
-    let r, bridge =
-      Scg.solve_logic ~budget ~telemetry ~config ~on:spec.on ~dc:spec.dc ()
-    in
+    let bridge = build () in
+    let r = Scg.solve ~budget ~telemetry ~config bridge.Covering.From_logic.matrix in
     Fmt.pf ppf "scg: %d products, lower bound %d%s@." r.Scg.cost r.Scg.lower_bound
       (if r.Scg.proven_optimal then " (proven optimal)" else "");
     let cover = Covering.From_logic.cover_of_solution bridge r.Scg.solution in
     Fmt.pf ppf "@[<v>cover:@,%a@]@." Logic.Cover.pp cover;
     scg_fields r
   | Solver_exact | Solver_greedy ->
-    let bridge = Covering.From_logic.build ~on:spec.on ~dc:spec.dc () in
     solve_matrix ppf ~budget ~telemetry ~config solver max_nodes
-      bridge.Covering.From_logic.matrix
+      (build ()).Covering.From_logic.matrix
 
-let solve_multi ppf ~budget ~telemetry ~config solver pla =
+let solve_multi ppf ~budget ~telemetry ~config ~name solver pla =
   let module J = Telemetry.Json in
+  let build () =
+    build_bridge ~telemetry ~name
+      ~matrix:(fun b -> b.Covering.From_logic.mmatrix)
+      (fun () -> Covering.From_logic.build_multi pla)
+  in
   match solver with
   | Solver_scg ->
-    let r, bridge = Scg.solve_pla_multi ~budget ~telemetry ~config pla in
+    let bridge = build () in
+    let r = Scg.solve ~budget ~telemetry ~config bridge.Covering.From_logic.mmatrix in
     Fmt.pf ppf "scg (shared products): %d rows, lower bound %d%s@." r.Scg.cost
       r.Scg.lower_bound
       (if r.Scg.proven_optimal then " (proven optimal)" else "");
@@ -238,7 +260,7 @@ let solve_multi ppf ~budget ~telemetry ~config solver pla =
     Fmt.pf ppf "%s@." (Logic.Pla.to_string out);
     scg_fields r
   | Solver_exact ->
-    let bridge = Covering.From_logic.build_multi pla in
+    let bridge = build () in
     let r = Covering.Exact.solve ~budget bridge.Covering.From_logic.mmatrix in
     Fmt.pf ppf "exact (shared products): %d rows (%s, %d nodes)@."
       r.Covering.Exact.cost
@@ -261,7 +283,7 @@ let solve_loaded ppf ~budget ~telemetry ~config ~multi ~output ~name solver
   match loaded with
   | `Matrix m -> solve_matrix ppf ~budget ~telemetry ~config solver max_nodes m
   | `Spec spec -> solve_spec ppf ~budget ~telemetry ~config solver max_nodes spec
-  | `Pla pla when multi -> solve_multi ppf ~budget ~telemetry ~config solver pla
+  | `Pla pla when multi -> solve_multi ppf ~budget ~telemetry ~config ~name solver pla
   | `Pla pla ->
     if output < 0 || output >= pla.Logic.Pla.no then begin
       Fmt.epr "output %d out of range (PLA has %d outputs)@." output
@@ -465,23 +487,24 @@ let run_batch ~budget ~jobs ~config solver input_kind paths output multi
   let solve_one i =
     let name, loaded = inputs.(i) in
     match loaded with
-    | Error row_id -> ("", Some row_id, None)
+    | Error row_id -> ("", Some (`Infeasible row_id), None)
     | Ok loaded ->
       let buf = Buffer.create 1024 in
       let ppf = Format.formatter_of_buffer buf in
       (* per-instance governor: fresh work-unit counters, but the same
          absolute --timeout deadline as every other instance *)
       let budget = Budget.fork budget in
-      let infeasible =
+      let failure =
         match
           solve_loaded ppf ~budget ~telemetry:Telemetry.null ~config ~multi
             ~output ~name solver max_nodes loaded
         with
         | (_ : (string * Telemetry.Json.t) list) -> None
-        | exception Covering.Infeasible { row_id; _ } -> Some row_id
+        | exception Covering.Infeasible { row_id; _ } -> Some (`Infeasible row_id)
+        | exception Load_error { msg; _ } -> Some (`Rejected msg)
       in
       Format.pp_print_flush ppf ();
-      (Buffer.contents buf, infeasible, Budget.tripped budget)
+      (Buffer.contents buf, failure, Budget.tripped budget)
   in
   let indices = Array.init (Array.length inputs) Fun.id in
   (* work-size gate: a tiny matrix solves faster than it ships across a
@@ -506,16 +529,19 @@ let run_batch ~budget ~jobs ~config solver input_kind paths output multi
           Scg.Par.map_if ~pool ~big solve_one indices)
     else Array.map solve_one indices
   in
-  let any_infeasible = ref false and any_trip = ref false in
+  let any_rejected = ref false and any_infeasible = ref false and any_trip = ref false in
   Array.iteri
-    (fun i (text, infeasible, trip) ->
+    (fun i (text, failure, trip) ->
       let name, _ = inputs.(i) in
       Fmt.pr "=== %s ===@.%s" name text;
-      (match infeasible with
-      | Some row_id ->
+      (match failure with
+      | Some (`Infeasible row_id) ->
         any_infeasible := true;
         Fmt.epr "ucp_solve: %s: infeasible: row %d has no covering column@." name
           row_id
+      | Some (`Rejected msg) ->
+        any_rejected := true;
+        Fmt.epr "ucp_solve: %s@." msg
       | None -> ());
       match trip with
       | Some trip ->
@@ -523,7 +549,10 @@ let run_batch ~budget ~jobs ~config solver input_kind paths output multi
         Fmt.epr "ucp_solve: %s: budget exhausted: %s@." name (Budget.describe trip)
       | None -> ())
     results;
-  if !any_infeasible then 7 else if !any_trip then 3 else 0
+  if !any_rejected then 4
+  else if !any_infeasible then 7
+  else if !any_trip then 3
+  else 0
 
 let run list solver input_kind paths output multi max_nodes timeout zdd_nodes
     max_steps max_rows_implicit fault_after fault_site trace stats_json jobs
@@ -694,13 +723,17 @@ let cmd =
               --fault-after) was exhausted, or a first SIGINT/SIGTERM tripped \
               the governor; the best feasible answer and a valid lower bound \
               are still printed.  A second signal aborts with 130.";
-      Cmd.Exit.info 4 ~doc:"on a parse error in an input file.";
+      Cmd.Exit.info 4
+        ~doc:"on a parse error in an input file, or on a well-formed PLA \
+              the covering bridge rejects: an output with no ON row, \
+              --multi with every ON minterm also don't-care, more than 24 \
+              inputs, or more than 16 outputs with --multi.";
       Cmd.Exit.info 5 ~doc:"when an input file does not exist or cannot be read.";
       Cmd.Exit.info 6 ~doc:"when a benchmark instance name is unknown.";
       Cmd.Exit.info 7
         ~doc:"when the problem is infeasible: some row of the covering matrix \
               is covered by no column, so no solution exists.  With several \
-              inputs the worst outcome wins: 7 beats 3 beats 0.";
+              inputs the worst outcome wins: 4 beats 7 beats 3 beats 0.";
     ]
   in
   Cmd.v

@@ -209,6 +209,40 @@ let rec band_st st f g =
       r
   end
 
+(* f ∧ g ≠ 0 by a depth-first search for a common path to [one], which
+   stops at the first one and builds no node.  Most searches end within
+   a few steps, so the first 64 run without a memo.  Past them, a pair
+   found disjoint goes into the conjunction cache as [zero] (its true
+   [band]) and a cached pair answers at once, so from then on no pair
+   is searched twice and the search stays within 64 + |f|·|g| steps,
+   the bound of [band]. *)
+let intersects f g =
+  let st = state () in
+  let steps = ref 0 in
+  let rec go f g =
+    if is_zero f || is_zero g then false
+    else if f == g || is_one f || is_one g then true
+    else begin
+      incr steps;
+      if !steps <= 64 then split f g
+      else
+        let key = if f.tag <= g.tag then (f.tag, g.tag) else (g.tag, f.tag) in
+        match Cache2.find_opt st.and_cache key with
+        | Some r -> not (is_zero r)
+        | None ->
+          split f g
+          || begin
+               Cache2.add st.and_cache key zero;
+               false
+             end
+    end
+  and split f g =
+    let v = top2 f g in
+    let f1, f0 = cof f v and g1, g0 = cof g v in
+    go f1 g1 || go f0 g0
+  in
+  go f g
+
 let rec bor_st st f g =
   if f == g then f
   else if is_one f || is_one g then one

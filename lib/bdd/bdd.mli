@@ -65,6 +65,16 @@ val bxor : t -> t -> t
 val bimp : t -> t -> t
 (** [bimp f g] is [¬f ∨ g]. *)
 
+val intersects : t -> t -> bool
+(** [intersects f g] iff [f ∧ g] is satisfiable, decided without
+    creating a node: a depth-first search over pairs of nodes that stops
+    at the first common path to [one].  Searches longer than 64 steps
+    remember the pairs they find disjoint in the conjunction cache (as
+    [zero], their true conjunction), which bounds a search at
+    O(|f|·|g|) pairs, like {!band}; short ones touch no table at all.
+    The implicit covering bridge calls it before every (region, prime)
+    conjunction, most of which are empty. *)
+
 val bite : t -> t -> t -> t
 (** [bite f g h] is if-then-else: [(f ∧ g) ∨ (¬f ∧ h)]. *)
 

@@ -516,15 +516,34 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
       ~pen:(sum (fun r -> r.comp_pen))
   end
 
+(* The two-level bridge builds the covering matrix before [solve] opens
+   any span, and on benchmark-sized PLAs it is most of the solve, so it
+   gets a span of its own. *)
+let bridge ?(telemetry = Telemetry.null) ~matrix build =
+  Telemetry.span telemetry "bridge" (fun () ->
+      let b = build () in
+      let m = matrix b in
+      Telemetry.add telemetry "bridge.primes" (Matrix.n_cols m);
+      Telemetry.add telemetry "bridge.rows" (Matrix.n_rows m);
+      b)
+
 let solve_logic ?budget ?telemetry ?pool ?config ?cost ~on ~dc () =
-  let bridge = Covering.From_logic.build ?cost ~on ~dc () in
+  let bridge =
+    bridge ?telemetry
+      ~matrix:(fun b -> b.Covering.From_logic.matrix)
+      (fun () -> Covering.From_logic.build ?cost ~on ~dc ())
+  in
   let result =
     solve ?budget ?telemetry ?pool ?config bridge.Covering.From_logic.matrix
   in
   (result, bridge)
 
 let solve_logic_implicit ?budget ?telemetry ?pool ?config ?cost ~on ~dc () =
-  let bridge = Covering.From_logic.build_implicit ?cost ~on ~dc () in
+  let bridge =
+    bridge ?telemetry
+      ~matrix:(fun b -> b.Covering.From_logic.imatrix)
+      (fun () -> Covering.From_logic.build_implicit ?cost ~on ~dc ())
+  in
   let result =
     solve ?budget ?telemetry ?pool ?config bridge.Covering.From_logic.imatrix
   in
@@ -535,7 +554,11 @@ let solve_pla ?budget ?telemetry ?pool ?config pla ~output =
     ~dc:(Logic.Pla.dcset pla output) ()
 
 let solve_pla_multi ?budget ?telemetry ?pool ?config pla =
-  let bridge = Covering.From_logic.build_multi pla in
+  let bridge =
+    bridge ?telemetry
+      ~matrix:(fun b -> b.Covering.From_logic.mmatrix)
+      (fun () -> Covering.From_logic.build_multi pla)
+  in
   let result =
     solve ?budget ?telemetry ?pool ?config bridge.Covering.From_logic.mmatrix
   in

@@ -117,6 +117,18 @@ val solve :
     wall-clock deadline is shared); see DESIGN.md §10.
     @raise Invalid_argument if the matrix was already re-indexed. *)
 
+val bridge :
+  ?telemetry:Telemetry.t -> matrix:('b -> Covering.Matrix.t) -> (unit -> 'b) -> 'b
+(** [bridge ~matrix build] runs [build ()], one of the
+    {!Covering.From_logic} builders, as a ["bridge"] span and counts the
+    built matrix's columns (["bridge.primes"]) and rows (["bridge.rows"]).
+    {!solve_logic}, {!solve_logic_implicit} and {!solve_pla_multi} open
+    it before {!solve}, whose spans never cover the build; on
+    benchmark-sized PLAs it is most of the solve.  A front end that
+    builds the bridge itself, to tell an input the bridge rejects from a
+    failing solve, calls it for the same trace.  Exceptions of [build]
+    pass through. *)
+
 val solve_logic :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -150,15 +150,6 @@ let col_fresh t j ~covered =
   done;
   !acc
 
-(* those rows, ascending — float accumulations over them must match the
-   sparse element order, which is ascending too *)
-let iter_col_fresh t j ~covered f =
-  let base = j * t.cw in
-  for k = 0 to t.cw - 1 do
-    let w = t.colb.(base + k) land lnot covered.(k) in
-    if w <> 0 then iter_bits (k * word_bits) w f
-  done
-
 (* Σ w.(i) over those rows in the same ascending order, without a
    closure, so the float accumulator stays unboxed *)
 let fresh_sum t j ~covered w =

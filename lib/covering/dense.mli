@@ -97,10 +97,6 @@ val col_fresh : t -> int -> covered:int array -> int
 (** Rows of column [j] outside the [covered] row set — the greedy
     [n_fresh], one popcount per word. *)
 
-val iter_col_fresh : t -> int -> covered:int array -> (int -> unit) -> unit
-(** Those rows in ascending order (float weight sums stay in sparse
-    order). *)
-
 val fresh_sum : t -> int -> covered:int array -> float array -> float
 (** [fresh_sum t j ~covered w] — the sum of [w.(i)] over those rows,
     added in ascending row order, so it equals the same fold over the

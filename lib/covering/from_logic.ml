@@ -22,18 +22,15 @@ let build ?(cost = fun _ -> 1) ~on ~dc () =
   (* rows: the minterms that genuinely must be covered, ON ∖ DC.  A
      minterm listed in both planes is a don't-care (espresso semantics:
      the implementation may realise any G with ON∖DC ⊆ G ⊆ ON∪DC). *)
-  let minterms =
-    Array.of_list
-      (List.filter
-         (fun m -> not (Logic.Cover.eval_minterm dc m))
-         (Logic.Cover.minterms on))
-  in
+  let minterms = Array.of_list (Logic.Cover.minterms ~except:dc on) in
+  let masks = Array.map Logic.Cube.masks primes in
   let rows =
     Array.to_list minterms
     |> List.map (fun m ->
            let covering = ref [] in
            for j = n_cols - 1 downto 0 do
-             if Logic.Cube.covers_minterm primes.(j) m then covering := j :: !covering
+             let care, value = masks.(j) in
+             if m land care = value then covering := j :: !covering
            done;
            assert (!covering <> []);
            (* primes cover the care set, hence every ON-minterm *)
@@ -73,7 +70,12 @@ let build_implicit ?(cost = fun _ -> 1) ?(max_regions = 50_000) ~on ~dc () =
   let primes_zdd = Logic.Primes.of_covers ~on ~dc in
   let iprimes = Array.of_list (Logic.Primes.to_cubes ~nvars:n primes_zdd) in
   (* refine the care ON-set region by region: after processing prime j,
-     every region's points agree on membership in primes 0..j *)
+     every region is exactly the set of care ON-points whose signature
+     restricted to primes 0..j is the region's, so no two regions share
+     a signature (doc/ALGORITHMS.md §14).  The test before [band] skips
+     the conjunction for the (typical) disjoint pair, whose outside part
+     is the region itself; a region inside the prime has no outside
+     part. *)
   let regions = ref [ (care_on, []) ] in
   Array.iteri
     (fun j cube ->
@@ -81,25 +83,22 @@ let build_implicit ?(cost = fun _ -> 1) ?(max_regions = 50_000) ~on ~dc () =
       let next = ref [] in
       List.iter
         (fun (region, signature) ->
-          let inside = Bdd.band region b in
-          if not (Bdd.is_zero inside) then next := (inside, j :: signature) :: !next;
-          let outside = Bdd.bdiff region b in
-          if not (Bdd.is_zero outside) then next := (outside, signature) :: !next)
+          if not (Bdd.intersects region b) then next := (region, signature) :: !next
+          else begin
+            let inside = Bdd.band region b in
+            next := (inside, j :: signature) :: !next;
+            if not (Bdd.equal inside region) then
+              next := (Bdd.bdiff region b, signature) :: !next
+          end)
         !regions;
       if List.length !next > max_regions then
         invalid_arg "From_logic.build_implicit: signature blow-up (raise max_regions)";
       regions := !next)
     iprimes;
-  (* merge disconnected regions that ended with the same signature *)
-  let table = Hashtbl.create 256 in
-  List.iter
-    (fun (region, signature) ->
-      let key = List.rev signature in
-      let prev = Option.value ~default:Bdd.zero (Hashtbl.find_opt table key) in
-      Hashtbl.replace table key (Bdd.bor prev region))
-    !regions;
-  let rows = Hashtbl.fold (fun key region acc -> (key, region) :: acc) table [] in
-  let rows = List.sort Stdlib.compare rows in
+  let rows =
+    List.map (fun (region, signature) -> (List.rev signature, region)) !regions
+    |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  in
   let iregions = Array.of_list (List.map snd rows) in
   let cost = Array.map cost iprimes in
   {
@@ -130,12 +129,20 @@ let build_multi pla =
   if Array.length mrows = 0 then
     invalid_arg "From_logic.build_multi: no ON-minterm on any output";
   let n_cols = Array.length mprimes in
+  let masks = Array.map (fun p -> Logic.Cube.masks p.Logic.Multi.cube) mprimes in
+  let outputs =
+    Array.map
+      (fun p -> List.fold_left (fun acc k -> acc lor (1 lsl k)) 0 p.Logic.Multi.outputs)
+      mprimes
+  in
   let rows =
     Array.to_list mrows
-    |> List.map (fun row ->
+    |> List.map (fun (m, k) ->
            let covering = ref [] in
            for j = n_cols - 1 downto 0 do
-             if Logic.Multi.covers_row mprimes.(j) row then covering := j :: !covering
+             let care, value = masks.(j) in
+             if (outputs.(j) lsr k) land 1 = 1 && m land care = value then
+               covering := j :: !covering
            done;
            assert (!covering <> []);
            !covering)

@@ -8,6 +8,16 @@
     counts as don't-care, matching espresso's fd semantics
     (ON∖DC ⊆ realised function ⊆ ON∪DC).
 
+    Cost: {!build} and {!build_multi} mark the care ON-minterms in a
+    2ⁿ-bit vector ({!Logic.Cover.minterms}) and test every (row, prime)
+    pair with one AND and one compare against the prime's
+    {!Logic.Cube.masks} (plus one output bit for multi-output primes):
+    O(2ⁿ/63 + Σ 2{^free} + rows · primes) after prime generation, which
+    ({!Logic.Primes.of_covers}, {!Logic.Multi.primes}) is then the
+    larger part.  {!build_implicit} costs one node-free
+    {!Bdd.intersects} test per (region, prime) pair and BDD operations
+    only for the pairs that meet.
+
     Intended for benchmark-sized functions (the explicit minterm expansion
     bounds inputs at 24); the covering machinery downstream is independent
     of where the matrix came from. *)
@@ -71,6 +81,9 @@ val build_implicit :
   implicit_bridge
 (** No minterm enumeration anywhere: practical whenever the number of
     distinct signatures stays moderate, regardless of input count.
+    Only a region that meets the prime (a node-free {!Bdd.intersects}
+    test) is split with [band]/[bdiff]; refinement alone keeps one
+    region per signature, so no merge follows (doc/ALGORITHMS.md §14).
     [max_regions] (default 50_000) guards against signature blow-up.
     @raise Invalid_argument if [on ∖ dc] is empty or the guard trips. *)
 

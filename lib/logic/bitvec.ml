@@ -108,12 +108,12 @@ let popcount a = Array.fold_left (fun acc w -> acc + popcount_word w) 0 a.words
 
 let iter_ones a k =
   for wi = 0 to Array.length a.words - 1 do
-    let w = ref a.words.(wi) in
+    (* shift the word down, stopping after its highest set bit *)
+    let w = ref a.words.(wi) and i = ref (wi * word_bits) in
     while !w <> 0 do
-      let bit = !w land - !w in
-      let rec log2 b acc = if b = 1 then acc else log2 (b lsr 1) (acc + 1) in
-      k ((wi * word_bits) + log2 bit 0);
-      w := !w land (!w - 1)
+      if !w land 1 <> 0 then k !i;
+      w := !w lsr 1;
+      incr i
     done
   done
 

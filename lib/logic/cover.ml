@@ -34,13 +34,21 @@ let eval_minterm f m = List.exists (fun c -> Cube.covers_minterm c m) f.cubes
 let to_bdd f = Bdd.disj (List.map Cube.to_bdd f.cubes)
 let equal_semantics f g = Bdd.equal (to_bdd f) (to_bdd g)
 
-let minterms f =
-  if f.n > 62 then invalid_arg "Cover.minterms: too many variables";
-  let acc = ref [] in
-  for m = (1 lsl f.n) - 1 downto 0 do
-    if eval_minterm f m then acc := m :: !acc
-  done;
-  !acc
+(* Every cube's minterms are marked in one 2^n-bit vector, those of
+   [except] cleared again, and the marks read back in ascending order. *)
+let minterms ?except f =
+  if f.n > 24 then invalid_arg "Cover.minterms: too many variables";
+  let bits = Bitvec.create (1 lsl f.n) in
+  let mark g b =
+    List.iter (fun c -> Cube.iter_minterms c (fun m -> Bitvec.set bits m b)) g.cubes
+  in
+  mark f true;
+  Option.iter
+    (fun g ->
+      if g.n <> f.n then invalid_arg "Cover.minterms: arity mismatch";
+      mark g false)
+    except;
+  List.rev (Bitvec.fold_ones bits ~init:[] ~f:(fun acc m -> m :: acc))
 
 let cofactor f ~by =
   { n = f.n; cubes = List.filter_map (fun c -> Cube.cofactor c ~by) f.cubes }

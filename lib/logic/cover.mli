@@ -44,9 +44,15 @@ val to_bdd : t -> Bdd.t
 val equal_semantics : t -> t -> bool
 (** Functional equivalence (via BDDs). *)
 
-val minterms : t -> int list
-(** All satisfying minterms as value bitmasks, ascending ([nvars ≤ 24]
-    recommended — explicit enumeration). *)
+val minterms : ?except:t -> t -> int list
+(** The minterms of [f] outside [except] (default: none), as value
+    bitmasks in ascending order.  Each cube's minterms are marked in one
+    2ⁿ-bit vector (2 MB at the 24-variable cap), the cubes of [except]
+    clear theirs, and the vector is read back: O(2ⁿ/63 + Σ 2{^free}) over
+    the cubes of both covers, against O(2ⁿ · n) per cube for a
+    point-by-point {!eval_minterm} scan.
+    @raise Invalid_argument beyond 24 variables or when [except] has
+    another arity. *)
 
 (** {1 Recursive cover algebra} *)
 

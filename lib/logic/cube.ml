@@ -155,15 +155,23 @@ let cofactor c ~by =
     done;
     Some { n = c.n; bits }
 
-let covers_minterm c m =
-  if c.n > 62 then invalid_arg "Cube.covers_minterm: too many variables for int minterms";
-  let ok = ref true in
+(* The int-minterm form: bit [i] of [care] marks a literal on variable
+   [i], and bit [i] of [value] is its phase. *)
+let masks c =
+  if c.n > 62 then invalid_arg "Cube.masks: too many variables for int minterms";
+  let care = ref 0 and value = ref 0 in
   for i = 0 to c.n - 1 do
-    let bit = m land (1 lsl i) <> 0 in
-    let allowed = if bit then Bitvec.get c.bits (pos_bit i) else Bitvec.get c.bits (neg_bit i) in
-    if not allowed then ok := false
+    let p = Bitvec.get c.bits (pos_bit i) and q = Bitvec.get c.bits (neg_bit i) in
+    if p <> q then begin
+      care := !care lor (1 lsl i);
+      if p then value := !value lor (1 lsl i)
+    end
   done;
-  !ok
+  (!care, !value)
+
+let covers_minterm c m =
+  let care, value = masks c in
+  m land care = value
 
 let literal_count c =
   let k = ref 0 in
@@ -187,26 +195,15 @@ let literals c =
   !acc
 
 let iter_minterms c k =
-  if c.n > 62 then invalid_arg "Cube.iter_minterms: too many variables";
-  let dashes =
-    List.filter_map
-      (fun i ->
-        match phase c i with
-        | Dash -> Some i
-        | One | Zero -> None)
-      (List.init c.n Fun.id)
+  let care, value = masks c in
+  let free = lnot care land ((1 lsl c.n) - 1) in
+  (* the submasks of [free] in ascending order: (s - free) land free is
+     the next one after s *)
+  let rec go s =
+    k (value lor s);
+    if s <> free then go ((s - free) land free)
   in
-  let fixed =
-    List.fold_left (fun m (i, positive) -> if positive then m lor (1 lsl i) else m) 0
-      (literals c)
-  in
-  let rec go m = function
-    | [] -> k m
-    | i :: rest ->
-      go m rest;
-      go (m lor (1 lsl i)) rest
-  in
-  go fixed dashes
+  go 0
 
 let to_bdd c = Bdd.cube_of_literals (literals c)
 

@@ -71,9 +71,20 @@ val cofactor : t -> by:t -> t option
     [None] when [c ∩ by = ∅].  For a literal cube [by] this is the Shannon
     cofactor with the tested variable raised to don't-care. *)
 
+val masks : t -> int * int
+(** [masks c] = [(care, value)], the cube's int-minterm form: bit [i] of
+    [care] is set when variable [i] is a literal, and bit [i] of [value]
+    is then the literal's phase.  A minterm [m] (bit [i] of [m] = value
+    of variable [i]) lies in [c] iff [m land care = value].  O(n); valid
+    for [nvars c ≤ 62].  This module is the only one that knows the
+    encoding: {!covers_minterm} and {!iter_minterms} are built on it, and
+    the covering bridge precomputes one mask pair per prime so that each
+    cube–minterm test is one AND and one compare. *)
+
 val covers_minterm : t -> int -> bool
 (** [covers_minterm c m] with [m] the minterm's value bitmask (bit [i] of
-    [m] = value of variable [i]); valid for [nvars c ≤ 62]. *)
+    [m] = value of variable [i]); valid for [nvars c ≤ 62].  O(n), for
+    the {!masks}; test many minterms against the masks instead. *)
 
 val literal_count : t -> int
 (** Number of literals (non-dash variables). *)
@@ -88,7 +99,9 @@ val literals : t -> (int * bool) list
 (** The literals, by increasing variable. *)
 
 val iter_minterms : t -> (int -> unit) -> unit
-(** Enumerate covered minterms as value bitmasks ([nvars ≤ 62]). *)
+(** Enumerate covered minterms as value bitmasks, in ascending order
+    ([nvars ≤ 62]).  O(n + 2{^free_count}): one call per minterm, no
+    allocation per minterm. *)
 
 (** {1 Decision-diagram bridges} *)
 

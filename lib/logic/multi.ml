@@ -102,14 +102,12 @@ let brute_force_primes pla =
   |> List.sort compare_prime
 
 let rows pla =
-  let acc = ref [] in
-  for k = pla.Pla.no - 1 downto 0 do
-    let on = Pla.onset pla k and dc = Pla.dcset pla k in
-    List.iter
-      (fun m -> if not (Cover.eval_minterm dc m) then acc := (m, k) :: !acc)
-      (Cover.minterms on)
-  done;
-  List.sort_uniq Stdlib.compare !acc
+  List.init pla.Pla.no (fun k ->
+      List.map (fun m -> (m, k)) (Cover.minterms ~except:(Pla.dcset pla k) (Pla.onset pla k)))
+  |> List.concat
+  (* each output's minterms ascend, so a stable sort on the minterm alone
+     orders the rows by minterm, then output *)
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let covers_row p (m, k) = List.mem k p.outputs && Cube.covers_minterm p.cube m
 

@@ -42,7 +42,11 @@ val brute_force_primes : Pla.t -> prime list
 val rows : Pla.t -> (int * int) list
 (** The covering rows: pairs [(minterm, output)] with the minterm in
     [ON_k ∖ DC_k] — every one must be covered by a chosen prime whose
-    output set contains [k]. *)
+    output set contains [k] — sorted by minterm, then output, without
+    repeats.  Each output's minterms come from {!Cover.minterms} (one
+    2ⁿ-bit vector at a time), and a stable sort on the minterm
+    interleaves them: O(m · (2ⁿ/63 + Σ 2{^free}) + rows · log rows) for
+    [m] outputs. *)
 
 val covers_row : prime -> int * int -> bool
 

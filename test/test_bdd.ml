@@ -224,6 +224,36 @@ let test_big_conjunction () =
   Alcotest.(check int) "chain size" 40 (Bdd.size f);
   Alcotest.(check (float 1.)) "single satisfying point" 1. (Bdd.sat_count ~nvars:40 f)
 
+(* [intersects] must agree with the conjunction it avoids, and build no
+   node doing so *)
+let intersects_agrees f g =
+  let before = Bdd.node_count () in
+  let got = Bdd.intersects f g in
+  Bdd.node_count () = before && got = not (Bdd.is_zero (Bdd.band f g))
+
+let prop_intersects_is_band =
+  QCheck.Test.make ~name:"intersects = band is satisfiable, no node built" ~count:200
+    (QCheck.pair arb_expr arb_expr) (fun (a, b) ->
+      intersects_agrees (bdd_of_expr a) (bdd_of_expr b))
+
+let test_intersects_long_search () =
+  (* x24 ∧ parity(x0..x23) has 2^23 paths to one above x24: a search
+     against ¬x24 must memoise its disjoint pairs to finish at once *)
+  let parity = List.fold_left (fun acc i -> Bdd.bxor acc (Bdd.var i)) Bdd.zero (List.init 24 Fun.id) in
+  let f = Bdd.band parity (Bdd.var 24) in
+  let cases =
+    [
+      ("disjoint literal", Bdd.nvar 24);
+      ("disjoint function", Bdd.band (Bdd.bnot parity) (Bdd.var 24));
+      ("meets literal", Bdd.var 24);
+      ("meets cube", Bdd.cube_of_literals [ (0, true); (23, false); (24, true) ]);
+      ("itself", f);
+      ("one", Bdd.one);
+      ("zero", Bdd.zero);
+    ]
+  in
+  List.iter (fun (name, g) -> check name (intersects_agrees f g && intersects_agrees g f)) cases
+
 let () =
   Alcotest.run "bdd"
     [
@@ -242,6 +272,7 @@ let () =
           Alcotest.test_case "engine stats" `Quick test_engine_stats;
           Alcotest.test_case "parity size" `Quick test_parity_size;
           Alcotest.test_case "big conjunction" `Quick test_big_conjunction;
+          Alcotest.test_case "intersects long search" `Quick test_intersects_long_search;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -255,5 +286,6 @@ let () =
             prop_sat_count_matches_enumeration;
             prop_implies_is_subset;
             prop_xor_via_or_and;
+            prop_intersects_is_band;
           ] );
     ]

@@ -561,6 +561,167 @@ let test_from_logic_with_dc () =
   let r = Exact.solve b.From_logic.matrix in
   Alcotest.(check int) "one product" 1 r.Exact.cost
 
+(* Reference builders: the bridge's formulas before the mask tests and
+   the BDD prechecks, kept here to pin the builders to them. *)
+
+let all_minterms n = List.init (1 lsl n) Fun.id
+let prime_array ~on ~dc =
+  let n = Logic.Cover.nvars on in
+  Array.of_list (Logic.Primes.to_cubes ~nvars:n (Logic.Primes.of_covers ~on ~dc))
+
+(* every point tested against every ON and DC cube, every row against
+   every prime *)
+let reference_build ~on ~dc =
+  let primes = prime_array ~on ~dc in
+  let minterms =
+    List.filter
+      (fun m -> Logic.Cover.eval_minterm on m && not (Logic.Cover.eval_minterm dc m))
+      (all_minterms (Logic.Cover.nvars on))
+  in
+  let rows =
+    List.map
+      (fun m ->
+        List.filter
+          (fun j -> Logic.Cube.covers_minterm primes.(j) m)
+          (List.init (Array.length primes) Fun.id))
+      minterms
+  in
+  (primes, minterms, rows)
+
+let reference_multi_rows pla =
+  let acc = ref [] in
+  for k = 0 to pla.Logic.Pla.no - 1 do
+    let on = Logic.Pla.onset pla k and dc = Logic.Pla.dcset pla k in
+    List.iter
+      (fun m -> if not (Logic.Cover.eval_minterm dc m) then acc := (m, k) :: !acc)
+      (List.filter (Logic.Cover.eval_minterm on) (all_minterms pla.Logic.Pla.ni))
+  done;
+  List.sort_uniq Stdlib.compare !acc
+
+(* refinement with both parts of every split built, then the merge of
+   regions that share a signature *)
+let reference_implicit ~on ~dc =
+  let primes = prime_array ~on ~dc in
+  let care_on = Bdd.bdiff (Logic.Cover.to_bdd on) (Logic.Cover.to_bdd dc) in
+  let regions = ref (if Bdd.is_zero care_on then [] else [ (care_on, []) ]) in
+  Array.iteri
+    (fun j cube ->
+      let b = Logic.Cube.to_bdd cube in
+      regions :=
+        List.concat_map
+          (fun (region, signature) ->
+            List.filter
+              (fun (r, _) -> not (Bdd.is_zero r))
+              [ (Bdd.band region b, j :: signature); (Bdd.bdiff region b, signature) ])
+          !regions)
+    primes;
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (region, signature) ->
+      let key = List.rev signature in
+      let prev = Option.value ~default:Bdd.zero (Hashtbl.find_opt table key) in
+      Hashtbl.replace table key (Bdd.bor prev region))
+    !regions;
+  let rows = Hashtbl.fold (fun key region acc -> (key, region) :: acc) table [] in
+  (primes, List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) rows)
+
+(* A random incompletely specified function over 0 to 12 inputs.  The
+   draws include overlapping ON and DC planes, ON ⊆ DC (no rows),
+   repeated cubes, the universal cube and an empty ON plane. *)
+let random_planes rng n =
+  let cube () =
+    Logic.Cube.of_string
+      (String.init n (fun _ ->
+           match Random.State.int rng 4 with 0 -> '0' | 1 -> '1' | _ -> '-'))
+  in
+  let cubes k = List.init k (fun _ -> cube ()) in
+  let on = cubes (Random.State.int rng 6) in
+  let on =
+    match Random.State.int rng 6 with
+    | 0 -> Logic.Cube.universe n :: on
+    | 1 -> (match on with c :: _ -> c :: on | [] -> on)
+    | _ -> on
+  in
+  let dc =
+    match Random.State.int rng 4 with
+    | 0 -> []
+    | 1 -> on @ cubes (Random.State.int rng 2)
+    | _ -> cubes (Random.State.int rng 4)
+  in
+  (Logic.Cover.of_cubes n on, Logic.Cover.of_cubes n dc)
+
+let rows_of m = List.init (Matrix.n_rows m) (fun i -> Array.to_list (Matrix.row m i))
+let costs_of m = List.init (Matrix.n_cols m) (Matrix.cost m)
+let same_primes a b = Array.length a = Array.length b && Array.for_all2 Logic.Cube.equal a b
+
+let prop_build_matches_scan =
+  QCheck.Test.make ~name:"build = minterm scan" ~count:150 TS.arb_seed (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let on, dc = random_planes rng (Random.State.int rng 13) in
+      let cost c = 1 + Logic.Cube.literal_count c in
+      match From_logic.build ~cost ~on ~dc () with
+      | exception Invalid_argument _ -> Logic.Cover.is_empty on
+      | b ->
+        let primes, minterms, rows = reference_build ~on ~dc in
+        same_primes b.From_logic.primes primes
+        && Array.to_list b.From_logic.minterms = minterms
+        && rows_of b.From_logic.matrix = rows
+        && costs_of b.From_logic.matrix
+           = Array.to_list (Array.map cost primes))
+
+let prop_build_multi_matches_scan =
+  QCheck.Test.make ~name:"build_multi = sorted scan" ~count:100 TS.arb_seed
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let ni = Random.State.int rng 13 and no = 1 + Random.State.int rng 4 in
+      let planes = Array.init no (fun _ -> random_planes rng ni) in
+      let rows =
+        List.concat
+          (List.init no (fun k ->
+               let on, dc = planes.(k) in
+               let plane c = String.init no (fun k' -> if k' = k then c else '0') in
+               List.map (fun cube -> (cube, plane '1')) (Logic.Cover.cubes on)
+               @ List.map (fun cube -> (cube, plane '-')) (Logic.Cover.cubes dc)))
+      in
+      let pla =
+        {
+          Logic.Pla.ni;
+          no;
+          kind = Logic.Pla.FD;
+          input_labels = [||];
+          output_labels = [||];
+          rows;
+        }
+      in
+      let want_rows = reference_multi_rows pla in
+      Logic.Multi.rows pla = want_rows
+      &&
+      match From_logic.build_multi pla with
+      | exception Invalid_argument _ -> want_rows = []
+      | b ->
+        let primes = b.From_logic.mprimes in
+        Array.to_list b.From_logic.mrows = want_rows
+        && rows_of b.From_logic.mmatrix
+           = List.map
+               (fun row ->
+                 List.filter
+                   (fun j -> Logic.Multi.covers_row primes.(j) row)
+                   (List.init (Array.length primes) Fun.id))
+               want_rows)
+
+let prop_build_implicit_matches_refinement =
+  QCheck.Test.make ~name:"build_implicit = unguarded refinement" ~count:150 TS.arb_seed
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let on, dc = random_planes rng (Random.State.int rng 13) in
+      let primes, rows = reference_implicit ~on ~dc in
+      match From_logic.build_implicit ~on ~dc () with
+      | exception Invalid_argument _ -> rows = []
+      | b ->
+        same_primes b.From_logic.iprimes primes
+        && rows_of b.From_logic.imatrix = List.map fst rows
+        && List.for_all2 Bdd.equal (Array.to_list b.From_logic.iregions) (List.map snd rows))
+
 let () =
   Alcotest.run "covering"
     [
@@ -636,5 +797,8 @@ let () =
           Alcotest.test_case "implicit build" `Quick test_build_implicit_agrees;
           Alcotest.test_case "implicit wide" `Quick test_build_implicit_wide_inputs;
           Alcotest.test_case "with dc" `Quick test_from_logic_with_dc;
+          QCheck_alcotest.to_alcotest prop_build_matches_scan;
+          QCheck_alcotest.to_alcotest prop_build_multi_matches_scan;
+          QCheck_alcotest.to_alcotest prop_build_implicit_matches_refinement;
         ] );
     ]

@@ -90,6 +90,40 @@ let test_cube_minterms () =
   Cube.iter_minterms c (fun m -> acc := m :: !acc);
   Alcotest.(check (list int)) "minterms" [ 0b001; 0b011 ] (List.sort compare !acc)
 
+(* the per-variable reading of a cube, independent of its masks *)
+let covers_by_phase c m =
+  List.for_all
+    (fun i ->
+      match Cube.phase c i with
+      | Cube.Dash -> true
+      | Cube.One -> m land (1 lsl i) <> 0
+      | Cube.Zero -> m land (1 lsl i) = 0)
+    (List.init (Cube.nvars c) Fun.id)
+
+let random_cube rng n =
+  Cube.of_string
+    (String.init n (fun _ ->
+         match Random.State.int rng 3 with 0 -> '0' | 1 -> '1' | _ -> '-'))
+
+let test_cube_masks () =
+  let rng = Random.State.make [| 14 |] in
+  for n = 0 to 10 do
+    for _ = 1 to 20 do
+      let c = random_cube rng n in
+      let care, value = Cube.masks c in
+      let inside = ref [] in
+      for m = (1 lsl n) - 1 downto 0 do
+        let want = covers_by_phase c m in
+        Alcotest.(check bool) "mask test" want (m land care = value);
+        Alcotest.(check bool) "covers_minterm" want (Cube.covers_minterm c m);
+        if want then inside := m :: !inside
+      done;
+      let seen = ref [] in
+      Cube.iter_minterms c (fun m -> seen := m :: !seen);
+      Alcotest.(check (list int)) "iter_minterms ascending" !inside (List.rev !seen)
+    done
+  done
+
 let test_cube_bdd () =
   let c = Cube.of_string "1-0" in
   let f = Cube.to_bdd c in
@@ -115,6 +149,28 @@ let test_cover_eval () =
   check "not 101" false (Cover.eval_minterm f 0b101);
   Alcotest.(check int) "size" 2 (Cover.size f);
   Alcotest.(check int) "literal cost" 4 (Cover.literal_cost f)
+
+let test_cover_minterms () =
+  let rng = Random.State.make [| 15 |] in
+  let in_cover f m = List.exists (fun c -> covers_by_phase c m) (Cover.cubes f) in
+  for n = 0 to 10 do
+    for _ = 1 to 10 do
+      let cover k = Cover.of_cubes n (List.init k (fun _ -> random_cube rng n)) in
+      let f = cover (Random.State.int rng 5) and g = cover (Random.State.int rng 3) in
+      let scan keep = List.filter keep (List.init (1 lsl n) Fun.id) in
+      Alcotest.(check (list int)) "minterms" (scan (in_cover f)) (Cover.minterms f);
+      Alcotest.(check (list int)) "minterms ~except"
+        (scan (fun m -> in_cover f m && not (in_cover g m)))
+        (Cover.minterms ~except:g f)
+    done
+  done;
+  let u = Cover.of_cubes 3 [ Cube.universe 3; Cube.of_string "1-0"; Cube.universe 3 ] in
+  Alcotest.(check (list int)) "universal and repeated cubes" (List.init 8 Fun.id)
+    (Cover.minterms u);
+  Alcotest.(check (list int)) "everything excepted" [] (Cover.minterms ~except:u u);
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check "arity mismatch" true (raises (fun () -> Cover.minterms ~except:(Cover.empty 2) u));
+  check "beyond 24 variables" true (raises (fun () -> Cover.minterms (Cover.universe 25)))
 
 let is_taut strs = Cover.is_tautology (cover_of_strings 2 strs)
 
@@ -405,12 +461,14 @@ let () =
           Alcotest.test_case "inter" `Quick test_cube_inter;
           Alcotest.test_case "subsume/consensus" `Quick test_cube_subsume_consensus;
           Alcotest.test_case "minterms" `Quick test_cube_minterms;
+          Alcotest.test_case "masks" `Quick test_cube_masks;
           Alcotest.test_case "to_bdd" `Quick test_cube_bdd;
           Alcotest.test_case "literal sets" `Quick test_cube_literal_set;
         ] );
       ( "cover",
         [
           Alcotest.test_case "eval" `Quick test_cover_eval;
+          Alcotest.test_case "minterms" `Quick test_cover_minterms;
           Alcotest.test_case "tautology" `Quick test_cover_tautology;
           Alcotest.test_case "complement" `Quick test_cover_complement;
           Alcotest.test_case "covers_cube" `Quick test_cover_covers_cube;

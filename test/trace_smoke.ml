@@ -5,7 +5,8 @@
 
    With `--validate FILE` it instead checks an existing trace file (the
    runtest rule uses this on a trace produced by the ucp_solve CLI), so
-   the schema checked here is the schema the shipped binary emits. *)
+   the schema checked here is the schema the shipped binary emits; each
+   `--require-span NAME` after it also demands a span of that name. *)
 
 module Telemetry = Scg.Telemetry
 module Json = Telemetry.Json
@@ -118,6 +119,7 @@ let validate_lines ~source lines =
   in
   let last_t = ref neg_infinity in
   let depth = ref 0 in
+  let span_names = ref [] in
   let summaries = ref 0 in
   let last_peaks = Hashtbl.create 4 in
   List.iter
@@ -131,7 +133,7 @@ let validate_lines ~source lines =
       last_t := t;
       (match ev with
       | "span_begin" ->
-        ignore (str_field r "name");
+        span_names := str_field r "name" :: !span_names;
         incr depth
       | "span_end" ->
         ignore (str_field r "name");
@@ -158,9 +160,9 @@ let validate_lines ~source lines =
     records;
   if !depth <> 0 then fail "%s: %d unclosed span(s)" source !depth;
   if !summaries <> 1 then fail "%s: %d summary records (want 1)" source !summaries;
-  List.length records
+  (List.length records, !span_names)
 
-let validate_file path =
+let validate_file ~require path =
   let ic = open_in path in
   let lines = ref [] and lineno = ref 0 in
   (try
@@ -169,7 +171,11 @@ let validate_file path =
        lines := (!lineno, input_line ic) :: !lines
      done
    with End_of_file -> close_in ic);
-  let n = validate_lines ~source:path (List.rev !lines) in
+  let n, span_names = validate_lines ~source:path (List.rev !lines) in
+  List.iter
+    (fun name ->
+      if not (List.mem name span_names) then fail "%s: no %S span" path name)
+    require;
   Format.printf "trace_smoke: %s ok (%d records)@." path n
 
 (* --stats-json output: one object with solver fields and the aggregated
@@ -270,7 +276,7 @@ let run_suite () =
       let m = Benchsuite.Registry.matrix inst in
       let r = Scg.solve ~telemetry:t m in
       Telemetry.close t;
-      let n = validate_lines ~source:name (List.rev !lines) in
+      let n, _ = validate_lines ~source:name (List.rev !lines) in
       (* cross-check the stream against the solver's own accounting *)
       if
         Telemetry.counter t "subgradient.steps"
@@ -281,14 +287,22 @@ let run_suite () =
       Format.printf "trace_smoke: %-10s ok (%d records, cost %d)@." name n r.Scg.cost)
     instances
 
+let usage () =
+  prerr_endline
+    "usage: trace_smoke [--validate FILE [--require-span NAME]... | \
+     --validate-stats FILE | --validate-access FILE]";
+  exit 2
+
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] -> run_suite ()
-  | [ _; "--validate"; path ] -> validate_file path
+  | _ :: "--validate" :: path :: rest ->
+    let rec required = function
+      | [] -> []
+      | "--require-span" :: name :: rest -> name :: required rest
+      | _ -> usage ()
+    in
+    validate_file ~require:(required rest) path
   | [ _; "--validate-stats"; path ] -> validate_stats path
   | [ _; "--validate-access"; path ] -> validate_access path
-  | _ ->
-    prerr_endline
-      "usage: trace_smoke [--validate FILE | --validate-stats FILE | \
-       --validate-access FILE]";
-    exit 2
+  | _ -> usage ()
