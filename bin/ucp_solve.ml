@@ -96,12 +96,19 @@ let load_input ~budget input =
 (* A well-formed PLA the bridge cannot turn into a covering problem
    (nothing to cover, more than 24 inputs, more than 16 outputs) is bad
    input, so it exits 4 like a parse error; ucp_serve answers the same
-   bytes with PARSE_ERROR.  Only the build is guarded: an exception from
-   the solve itself stays a crash. *)
+   bytes with PARSE_ERROR.  Only the build is guarded, and only against
+   the bridge's own rejections, told apart by their messages: any other
+   Invalid_argument (a bounds check, say) and any exception from the
+   solve itself stay a crash. *)
+let bridge_rejection what =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix what)
+    [ "From_logic."; "Multi.primes: too many"; "Cover.minterms: too many" ]
+
 let build_bridge ~telemetry ~name ~matrix build =
   match Scg.bridge ~telemetry ~matrix build with
   | bridge -> bridge
-  | exception Invalid_argument what ->
+  | exception Invalid_argument what when bridge_rejection what ->
     raise (Load_error { code = 4; msg = Fmt.str "%s: %s" name what })
 
 let classify input_kind p =

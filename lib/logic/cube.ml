@@ -169,9 +169,15 @@ let masks c =
   done;
   (!care, !value)
 
+(* one bit read per variable, stopping at the first literal [m] violates *)
 let covers_minterm c m =
-  let care, value = masks c in
-  m land care = value
+  if c.n > 62 then invalid_arg "Cube.covers_minterm: too many variables for int minterms";
+  let rec go i =
+    i >= c.n
+    || (Bitvec.get c.bits (if m land (1 lsl i) <> 0 then pos_bit i else neg_bit i)
+       && go (i + 1))
+  in
+  go 0
 
 let literal_count c =
   let k = ref 0 in

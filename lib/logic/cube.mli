@@ -77,14 +77,16 @@ val masks : t -> int * int
     is then the literal's phase.  A minterm [m] (bit [i] of [m] = value
     of variable [i]) lies in [c] iff [m land care = value].  O(n); valid
     for [nvars c ≤ 62].  This module is the only one that knows the
-    encoding: {!covers_minterm} and {!iter_minterms} are built on it, and
-    the covering bridge precomputes one mask pair per prime so that each
-    cube–minterm test is one AND and one compare. *)
+    encoding: {!iter_minterms} is built on it, and the covering bridge
+    precomputes one mask pair per prime so that each cube–minterm test is
+    one AND and one compare. *)
 
 val covers_minterm : t -> int -> bool
 (** [covers_minterm c m] with [m] the minterm's value bitmask (bit [i] of
-    [m] = value of variable [i]); valid for [nvars c ≤ 62].  O(n), for
-    the {!masks}; test many minterms against the masks instead. *)
+    [m] = value of variable [i]); valid for [nvars c ≤ 62].  One bit read
+    per variable up to the first violated literal, building no masks: the
+    test for a single minterm.  To test many minterms against one cube,
+    compare them with its {!masks} instead. *)
 
 val literal_count : t -> int
 (** Number of literals (non-dash variables). *)
