@@ -9,8 +9,16 @@
    [Covering.From_logic] bridge and the cover lists column indices, so
    these lines also pin the bridge's row and column order.
 
-   The expected lines live in [golden.expected].  After a declared change
-   of behaviour, regenerate them with
+   A second group pins the exact branch and bound ([Covering.Exact]) under
+   a node cap: cost, lower bound, optimality, nodes expanded and the
+   cover, for every easy, difficult, dense and challenging registry
+   instance it proves optimal within the cap.  The node count follows
+   every reduction and branching decision of the search, so these lines
+   pin the explicit reductions Exact runs at each node.
+
+   The expected lines live in [golden.expected], the Exact group after
+   the SCG group, each Exact line prefixed with [exact].  After a
+   declared change of behaviour, regenerate them with
 
      dune exec test/test_golden.exe -- --print > test/golden.expected *)
 
@@ -79,6 +87,32 @@ let answer (name, build, steps) =
     s.Scg.Stats.iterations s.Scg.Stats.best_iteration
     (String.concat "," (List.map string_of_int r.Scg.solution))
 
+let exact_max_nodes = 5_000
+
+let exact_suite () =
+  Registry.easy () @ Registry.difficult () @ Registry.dense ()
+  @ Registry.challenging ()
+
+let exact_prefix = "exact "
+
+let exact_answer inst =
+  let r = Covering.Exact.solve ~max_nodes:exact_max_nodes (Registry.matrix inst) in
+  ( r.Covering.Exact.optimal,
+    Printf.sprintf "%s%s cost=%d lb=%d optimal=%b nodes=%d cover=%s" exact_prefix
+      inst.Registry.name r.Covering.Exact.cost r.Covering.Exact.lower_bound
+      r.Covering.Exact.optimal r.Covering.Exact.nodes
+      (String.concat "," (List.map string_of_int r.Covering.Exact.solution)) )
+
+(* the instance an Exact line pins: the word after the prefix *)
+let exact_name line =
+  let rest =
+    String.sub line (String.length exact_prefix)
+      (String.length line - String.length exact_prefix)
+  in
+  match String.index_opt rest ' ' with
+  | Some k -> String.sub rest 0 k
+  | None -> rest
+
 (* [dune runtest] runs in the test directory, [dune exec] at the root *)
 let expected () =
   let file =
@@ -96,10 +130,19 @@ let expected () =
   lines []
 
 let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then
-    List.iter (fun c -> print_endline (answer c)) (corpus ())
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then begin
+    List.iter (fun c -> print_endline (answer c)) (corpus ());
+    List.iter
+      (fun inst ->
+        let optimal, line = exact_answer inst in
+        if optimal then print_endline line)
+      (exact_suite ())
+  end
   else begin
-    let corpus = corpus () and expected = expected () in
+    let corpus = corpus () in
+    let exact, expected =
+      List.partition (String.starts_with ~prefix:exact_prefix) (expected ())
+    in
     if List.length expected <> List.length corpus then
       failwith "golden.expected: one line per corpus instance expected";
     Alcotest.run "golden"
@@ -110,5 +153,13 @@ let () =
               Alcotest.test_case name `Quick (fun () ->
                   Alcotest.(check string) name want (answer c)))
             corpus expected );
+        ( "exact",
+          List.map
+            (fun want ->
+              let name = exact_name want in
+              Alcotest.test_case name `Quick (fun () ->
+                  Alcotest.(check string) name want
+                    (snd (exact_answer (Registry.find name)))))
+            exact );
       ]
   end
