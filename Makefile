@@ -1,6 +1,6 @@
 # Convenience wrappers; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke bench-par bench-dense bench-serve bench-zdd bench-scale bench-check bench-check-dense bench-check-serve bench-check-zdd bench-check-par bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
+.PHONY: all build test bench bench-quick bench-smoke bench-par bench-dense bench-serve bench-zdd bench-scale bench-check-dense bench-check-serve bench-check-zdd bench-check-par bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
 
 all: build
 
@@ -20,12 +20,10 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --no-csv --table fig1 --table 1 --table 3
 
-# tight-budget sanity sweep: the easy aggregate plus the reduction-engine
-# comparison (legacy vs incremental), leaving BENCH_reduce.json behind
+# tight-budget sanity sweep: the easy aggregate
 # (--no-csv: partial runs must not clobber a full run's bench_results.csv)
 bench-smoke:
-	dune exec bench/main.exe -- --no-csv --table easy --table reduce \
-	  --reduce-reps 5 --reduce-json BENCH_reduce.json
+	dune exec bench/main.exe -- --no-csv --table easy
 
 # sequential-vs-parallel comparison at both wiring levels (components of
 # block-diagonal composites, then whole-instance batches), leaving
@@ -58,12 +56,9 @@ bench-scale:
 	dune exec bench/main.exe -- --no-csv --table scale \
 	  --scale-json BENCH_scale.json
 
-# regression gate: re-run the benchmark the committed baseline describes
-# and compare (speedup ratios for the reduce/dense baselines, so the gate
-# is machine-independent); nonzero exit on regression
-bench-check:
-	dune exec bench/main.exe -- --check bench/BASELINE_reduce.json
-
+# regression gates: each re-runs the benchmark its committed baseline
+# describes and compares (speedup ratios for the dense baseline, so the
+# gate is machine-independent); nonzero exit on regression
 bench-check-dense:
 	dune exec bench/main.exe -- --check bench/BASELINE_dense.json
 

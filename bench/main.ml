@@ -513,271 +513,6 @@ let run_pricing () =
   hline 86
 
 (* ------------------------------------------------------------------ *)
-(* Reduction engines head to head (legacy passes vs incremental)      *)
-(* ------------------------------------------------------------------ *)
-
-(* The two workloads of Reduce in the solver: one cyclic-core extraction
-   from the raw matrix, and the re-reduction after every descent commit.
-   The replay reproduces the latter deterministically — fix the
-   best-covering column, drop its rows, re-reduce, repeat until empty.
-   The legacy path pays a full submatrix rebuild plus a from-scratch
-   reduction per commit; the incremental path keeps one persistent
-   engine and commits in place, which is the point of the design. *)
-
-let matrices_identical a b =
-  Matrix.n_rows a = Matrix.n_rows b
-  && Matrix.n_cols a = Matrix.n_cols b
-  && (let ok = ref true in
-      for i = 0 to Matrix.n_rows a - 1 do
-        if Matrix.row_id a i <> Matrix.row_id b i || Matrix.row a i <> Matrix.row b i
-        then ok := false
-      done;
-      for j = 0 to Matrix.n_cols a - 1 do
-        if
-          Matrix.col_id a j <> Matrix.col_id b j
-          || Matrix.cost a j <> Matrix.cost b j
-          || Matrix.col a j <> Matrix.col b j
-        then ok := false
-      done;
-      !ok)
-
-let core_fingerprint m =
-  Hashtbl.hash
-    ( Matrix.n_rows m,
-      Matrix.n_cols m,
-      Array.init (Matrix.n_rows m) (fun i -> (Matrix.row_id m i, Matrix.row m i)),
-      Array.init (Matrix.n_cols m) (fun j -> (Matrix.col_id m j, Matrix.cost m j)) )
-
-(* One descent replay: returns (per-step fingerprints, total fixed
-   cost) so runs of the two engines can be cross-checked.  [verify]
-   false skips the fingerprinting, leaving only the genuine workflow —
-   that is what the timing loops run. *)
-let descent_replay ~reduce ~verify m0 =
-  let fps = ref [] and fixed = ref 0 in
-  let rec go m =
-    if not (Matrix.is_empty m) then begin
-      (* deterministic stand-in for the Lagrangian fixing step: commit
-         the column covering the most rows (ties: cheaper, then lower) *)
-      let best = ref 0 in
-      for j = 1 to Matrix.n_cols m - 1 do
-        let lj = Array.length (Matrix.col m j)
-        and lb = Array.length (Matrix.col m !best) in
-        if
-          lj > lb
-          || (lj = lb && Matrix.cost m j < Matrix.cost m !best)
-        then best := j
-      done;
-      let j = !best in
-      let keep_cols = Array.init (Matrix.n_cols m) (fun k -> k <> j) in
-      let keep_rows = Array.make (Matrix.n_rows m) true in
-      Array.iter (fun i -> keep_rows.(i) <- false) (Matrix.col m j);
-      let m' = Matrix.submatrix m ~keep_rows ~keep_cols in
-      if not (Matrix.is_empty m') then begin
-        let red = reduce ~gimpel:false m' in
-        fixed := !fixed + red.Covering.Reduce.fixed_cost;
-        if verify then fps := core_fingerprint red.Covering.Reduce.core :: !fps;
-        go red.Covering.Reduce.core
-      end
-    end
-  in
-  go m0;
-  (!fps, !fixed)
-
-(* Same walk on the persistent engine: one conversion up front, then
-   in-place commits — the column choice sees the same lengths and costs
-   in the same order, so both replays fix the same columns. *)
-let descent_replay_engine ~verify core =
-  let e = Covering.Reduce2.engine ~gimpel:false (Covering.Sparse.of_matrix core) in
-  let s = Covering.Reduce2.sparse e in
-  let fps = ref [] in
-  let rec go () =
-    if Covering.Sparse.rows_alive s > 0 then begin
-      let best = ref (-1) in
-      for j = 0 to Covering.Sparse.n_cols s - 1 do
-        if Covering.Sparse.col_alive s j then
-          if !best < 0 then best := j
-          else begin
-            let lj = Covering.Sparse.col_len s j
-            and lb = Covering.Sparse.col_len s !best in
-            if
-              lj > lb
-              || (lj = lb && Covering.Sparse.cost s j < Covering.Sparse.cost s !best)
-            then best := j
-          end
-      done;
-      let j = !best in
-      Covering.Reduce2.commit_col e j;
-      if Covering.Sparse.rows_alive s > 0 then begin
-        Covering.Reduce2.run e;
-        if verify then
-          fps := core_fingerprint (Covering.Sparse.to_matrix s) :: !fps;
-        go ()
-      end
-    end
-  in
-  go ();
-  (!fps, Covering.Reduce2.fixed_cost e)
-
-(* batched best-of-3 timing: single runs sit at the clock's granularity
-   on the small instances, so average [reps] runs per sample *)
-let time_reps ~reps f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Budget.Clock.now () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    let t = (Budget.Clock.now () -. t0) /. float_of_int reps in
-    if t < !best then best := t
-  done;
-  !best
-
-let run_reduce ~reps ~json_path () =
-  pr "@.== Reduction engines — legacy passes vs incremental worklist ==@.";
-  pr "initial = one cyclic-core extraction; descent = re-reduction after@.";
-  pr "each commit of a full greedy descent (reduction calls only, best of %d)@." reps;
-  hline 92;
-  pr "%-10s | %9s %9s %7s | %5s %9s %9s %7s | %7s@." "name" "init-old" "init-new"
-    "ratio" "steps" "desc-old" "desc-new" "ratio" "total";
-  hline 92;
-  let rows = ref [] in
-  let all_ok = ref true in
-  List.iter
-    (fun inst ->
-      let m = Registry.matrix inst in
-      (* correctness first: cores, traces and fixed costs must coincide *)
-      let legacy = Covering.Reduce.cyclic_core ~gimpel:true m in
-      let incr = Covering.Reduce2.cyclic_core ~gimpel:true m in
-      let identical =
-        matrices_identical legacy.Covering.Reduce.core incr.Covering.Reduce.core
-        && legacy.Covering.Reduce.fixed_cost = incr.Covering.Reduce.fixed_cost
-      in
-      let t_init_old =
-        time_reps ~reps (fun () -> ignore (Covering.Reduce.cyclic_core ~gimpel:true m))
-      in
-      let t_init_new =
-        time_reps ~reps (fun () -> ignore (Covering.Reduce2.cyclic_core ~gimpel:true m))
-      in
-      let core = legacy.Covering.Reduce.core in
-      let legacy_reduce ~gimpel m = Covering.Reduce.cyclic_core ~gimpel m in
-      let fps_old, fixed_old = descent_replay ~reduce:legacy_reduce ~verify:true core in
-      let fps_new, fixed_new = descent_replay_engine ~verify:true core in
-      let identical = identical && fps_old = fps_new && fixed_old = fixed_new in
-      if not identical then all_ok := false;
-      let t_desc_old =
-        time_reps ~reps (fun () ->
-            ignore (descent_replay ~reduce:legacy_reduce ~verify:false core))
-      in
-      let t_desc_new =
-        time_reps ~reps (fun () -> ignore (descent_replay_engine ~verify:false core))
-      in
-      let steps = List.length fps_old in
-      let total_old = t_init_old +. t_desc_old
-      and total_new = t_init_new +. t_desc_new in
-      let ratio a b = if b > 0. then a /. b else Float.nan in
-      pr "%-10s | %9.5f %9.5f %6.2fx | %5d %9.5f %9.5f %6.2fx | %6.2fx%s@."
-        inst.Registry.name t_init_old t_init_new
-        (ratio t_init_old t_init_new)
-        steps t_desc_old t_desc_new
-        (ratio t_desc_old t_desc_new)
-        (ratio total_old total_new)
-        (if identical then "" else "  MISMATCH");
-      csv_emit
-        [
-          "reduce"; inst.Registry.name; "legacy"; string_of_int fixed_old;
-          string_of_bool identical; "";
-          Printf.sprintf "%.6f" total_old;
-          Printf.sprintf "steps=%d" steps;
-        ];
-      csv_emit
-        [
-          "reduce"; inst.Registry.name; "incremental"; string_of_int fixed_new;
-          string_of_bool identical; "";
-          Printf.sprintf "%.6f" total_new;
-          Printf.sprintf "steps=%d" steps;
-        ];
-      rows :=
-        ( inst.Registry.name,
-          Matrix.n_rows m,
-          Matrix.n_cols m,
-          t_init_old,
-          t_init_new,
-          steps,
-          t_desc_old,
-          t_desc_new,
-          identical )
-        :: !rows)
-    (Registry.difficult ());
-  hline 92;
-  let rows = List.rev !rows in
-  let speedups =
-    List.map
-      (fun (_, _, _, io, inw, _, dold, dn, _) -> (io +. dold) /. (inw +. dn))
-      rows
-  in
-  let geomean xs =
-    exp (List.fold_left (fun a x -> a +. log x) 0. xs /. float_of_int (List.length xs))
-  in
-  let gm = geomean speedups and mn = List.fold_left min infinity speedups in
-  let sum f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let agg =
-    sum (fun (_, _, _, io, _, _, d_old, _, _) -> io +. d_old)
-    /. sum (fun (_, _, _, _, inw, _, _, d_new, _) -> inw +. d_new)
-  in
-  pr
-    "total-reduction speedup: suite aggregate %.2fx, geometric mean %.2fx, \
-     minimum %.2fx@."
-    agg gm mn;
-  pr "results %s@."
-    (if !all_ok then "identical on every instance" else "MISMATCHED");
-  (* machine-readable mirror for CI trend tracking and `--check` *)
-  let module J = Telemetry.Json in
-  let engine_pair legacy_s incremental_s =
-    [
-      ("legacy_s", J.Float legacy_s);
-      ("incremental_s", J.Float incremental_s);
-      ( "speedup",
-        J.Float (if incremental_s > 0. then legacy_s /. incremental_s else Float.nan)
-      );
-    ]
-  in
-  let json =
-    J.Obj
-      [
-        ("mode", J.String "reduce");
-        ("suite", J.String "difficult");
-        ("reps", J.Int reps);
-        ("identical_results", J.Bool !all_ok);
-        ("aggregate_total_speedup", J.Float agg);
-        ("geomean_total_speedup", J.Float gm);
-        ("min_total_speedup", J.Float mn);
-        ( "instances",
-          J.List
-            (List.map
-               (fun (name, nr, nc, io, inw, steps, d_old, d_new, identical) ->
-                 J.Obj
-                   [
-                     ("name", J.String name);
-                     ("rows", J.Int nr);
-                     ("cols", J.Int nc);
-                     ("identical", J.Bool identical);
-                     ("initial", J.Obj (engine_pair io inw));
-                     ( "descent",
-                       J.Obj (("steps", J.Int steps) :: engine_pair d_old d_new) );
-                     ("total", J.Obj (engine_pair (io +. d_old) (inw +. d_new)));
-                   ])
-               rows) );
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  pr "wrote %s@." json_path;
-  if not !all_ok then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Component & batch parallelism (BENCH_par.json)                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -944,6 +679,38 @@ let run_par ~jobs () =
 (* Dense bit-slice kernels (BENCH_dense.json)                          *)
 (* ------------------------------------------------------------------ *)
 
+let matrices_identical a b =
+  Matrix.n_rows a = Matrix.n_rows b
+  && Matrix.n_cols a = Matrix.n_cols b
+  && (let ok = ref true in
+      for i = 0 to Matrix.n_rows a - 1 do
+        if Matrix.row_id a i <> Matrix.row_id b i || Matrix.row a i <> Matrix.row b i
+        then ok := false
+      done;
+      for j = 0 to Matrix.n_cols a - 1 do
+        if
+          Matrix.col_id a j <> Matrix.col_id b j
+          || Matrix.cost a j <> Matrix.cost b j
+          || Matrix.col a j <> Matrix.col b j
+        then ok := false
+      done;
+      !ok)
+
+(* batched best-of-3 timing: single runs sit at the clock's granularity
+   on the small instances, so average [reps] runs per sample *)
+let time_reps ~reps f =
+  ignore (f ());
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Budget.Clock.now () in
+    for _ = 1 to reps do
+      ignore (f ())
+    done;
+    let t = (Budget.Clock.now () -. t0) /. float_of_int reps in
+    if t < !best then best := t
+  done;
+  !best
+
 (* Two halves.  Identity: the adaptive dense dispatch (the default
    config) must give bit-identical solver output to the forced sparse
    path (dense_threshold = 0) across the whole registry — the dense
@@ -955,7 +722,7 @@ let run_par ~jobs () =
    how the solver uses them (one mirror per cyclic core, reused by
    every reduction round, greedy run and subgradient step of the
    descent); the one-off build cost is reported in its own column.
-   The gated quantity mirrors run_reduce: a per-instance and aggregate
+   The gated quantity is a per-instance and aggregate
    speedup *ratio* (both sides measured in-process on the same host),
    where "total" is the dominance+greedy hot-loop pair; the subgradient
    ratio is reported but not gated per instance, since its dense arm
@@ -1000,7 +767,7 @@ let run_dense ~reps ~json_path () =
   sweep "difficult" Scg.Config.default (Registry.difficult ());
   sweep "dense" Scg.Config.default (Registry.dense ());
   sweep "challenging" quick_cfg (Registry.challenging ());
-  (* kernel timings, best of 3 batches of [reps] as in run_reduce *)
+  (* kernel timings, best of 3 batches of [reps] *)
   hline 104;
   pr "%-10s | %5s %5s %5s %8s | %8s %8s %6s | %8s %8s %6s | %6s | %6s@." "name"
     "rows" "cols" "dens" "build" "dom-sp" "dom-dn" "ratio" "grd-sp" "grd-dn"
@@ -1010,28 +777,21 @@ let run_dense ~reps ~json_path () =
   List.iter
     (fun (inst : Registry.instance) ->
       let m = Registry.matrix inst in
-      (* once per instance: the full worklist reduction with and without
-         the mirror must agree on core and fixed cost — this exercises
-         the Dense.Mut maintenance protocol through every deletion,
-         Gimpel append and rollback of a real reduction *)
-      let reduce_with dense =
-        let e =
-          Covering.Reduce2.engine ~gimpel:true (Covering.Sparse.of_matrix ~dense m)
-        in
-        Covering.Reduce2.seed_all e;
-        Covering.Reduce2.run e;
-        e
-      in
-      let core_of e = Covering.Sparse.to_matrix (Covering.Reduce2.sparse e) in
-      let ed = reduce_with true and es = reduce_with false in
+      (* once per instance: the full worklist reduction under the default
+         dense dispatch and on the forced sparse path must agree on core
+         and fixed cost — this exercises the Dense.Mut maintenance
+         protocol through every deletion and Gimpel append of a real
+         reduction *)
+      let rd = Covering.Reduce2.cyclic_core ~gimpel:true m in
+      let rs = Covering.Reduce2.cyclic_core ~gimpel:true ~dense_threshold:0 m in
       let identical =
-        matrices_identical (core_of ed) (core_of es)
-        && Covering.Reduce2.fixed_cost ed = Covering.Reduce2.fixed_cost es
+        matrices_identical rd.Covering.Reduce.core rs.Covering.Reduce.core
+        && rd.Covering.Reduce.fixed_cost = rs.Covering.Reduce.fixed_cost
       in
       (* the kernels run on the cyclic core — the solver's actual input;
          falls back to the original matrix when the reductions close the
          instance outright *)
-      let core = core_of es in
+      let core = rs.Covering.Reduce.core in
       let gm = if Matrix.is_empty core then m else core in
       let ss = Covering.Sparse.of_matrix gm in
       let sd = Covering.Sparse.of_matrix ~dense:true gm in
@@ -1896,10 +1656,6 @@ let run_check ~tolerance ~reduce_reps baseline_path =
     match (Option.bind (J.member "mode" baseline) J.to_str,
            Option.bind (J.member "table" baseline) J.to_str)
     with
-    | Some "reduce", _ ->
-      let path = "BENCH_reduce.json" in
-      run_reduce ~reps:reduce_reps ~json_path:path ();
-      path
     | Some "dense", _ ->
       let path = "BENCH_dense.json" in
       run_dense ~reps:reduce_reps ~json_path:path ();
@@ -1929,7 +1685,10 @@ let run_check ~tolerance ~reduce_reps baseline_path =
         pr "bench-check: baseline names unknown table %S@." other;
         exit 1);
       Printf.sprintf "BENCH_%s.json" table_id
-    | _ ->
+    | Some mode, None ->
+      pr "bench-check: %s names unknown mode %S@." baseline_path mode;
+      exit 1
+    | None, None ->
       pr "bench-check: %s has neither a \"mode\" nor a \"table\" field@."
         baseline_path;
       exit 1
@@ -1944,13 +1703,18 @@ let run_check ~tolerance ~reduce_reps baseline_path =
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let table_names =
+  [ "fig1"; "easy"; "1"; "2"; "3"; "4"; "ablation"; "dense"; "par"; "serve";
+    "zdd"; "scale"; "methods"; "pricing"; "timing"; "all" ]
+
 let usage () =
   pr
-    "usage: main.exe [--table fig1|easy|1|2|3|4|ablation|reduce|dense|par|serve|zdd|scale|all] [--verbose]@,\
+    "usage: main.exe [--table %s] [--verbose]@,\
     \       [--timing] [--exact-nodes-difficult N] [--exact-nodes-challenging N]@,\
-    \       [--csv FILE] [--no-csv] [--reduce-reps N] [--reduce-json FILE]@,\
+    \       [--csv FILE] [--no-csv] [--reduce-reps N]@,\
     \       [--dense-json FILE] [--serve-json FILE] [--zdd-json FILE] [--scale-json FILE]@,\
-    \       [--jobs N] [--check BASELINE.json] [--check-tolerance T]@.";
+    \       [--jobs N] [--check BASELINE.json] [--check-tolerance T]@."
+    (String.concat "|" table_names);
   exit 2
 
 let () =
@@ -1964,7 +1728,6 @@ let () =
      files (both untracked); --no-csv opts out, --csv redirects *)
   let csv = ref (Some "bench_results.csv") in
   let reduce_reps = ref 5 in
-  let reduce_json = ref "BENCH_reduce.json" in
   let dense_json = ref "BENCH_dense.json" in
   let serve_json = ref "BENCH_serve.json" in
   let zdd_json = ref "BENCH_zdd.json" in
@@ -1976,6 +1739,10 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--table" :: t :: rest ->
+      if not (List.mem t table_names) then begin
+        pr "unknown table %s@." t;
+        usage ()
+      end;
       tables := t :: !tables;
       parse rest
     | "--verbose" :: rest ->
@@ -1998,9 +1765,6 @@ let () =
       parse rest
     | "--reduce-reps" :: n :: rest ->
       reduce_reps := max 1 (int_of_string n);
-      parse rest
-    | "--reduce-json" :: path :: rest ->
-      reduce_json := path;
       parse rest
     | "--dense-json" :: path :: rest ->
       dense_json := path;
@@ -2048,7 +1812,6 @@ let () =
   if want "3" then run_table3 ~max_nodes:!nodes_difficult ();
   if want "4" then run_table4 ~max_nodes:!nodes_challenging ();
   if want "ablation" then run_ablation ();
-  if want "reduce" then run_reduce ~reps:!reduce_reps ~json_path:!reduce_json ();
   if want "dense" then run_dense ~reps:!reduce_reps ~json_path:!dense_json ();
   if want "par" then
     run_par ~jobs:(if !jobs <= 0 then Scg.Par.default_jobs () else !jobs) ();

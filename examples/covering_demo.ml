@@ -24,7 +24,7 @@ let () =
      regular, so no reduction applies — a born cyclic core *)
   Format.printf "== stein15: a born cyclic core ==@.";
   let m = Benchsuite.Steiner.matrix 15 in
-  let red = Covering.Reduce.cyclic_core m in
+  let red = Covering.Reduce2.cyclic_core m in
   Format.printf "reductions: %dx%d -> %dx%d (nothing to remove)@."
     (Covering.Matrix.n_rows m) (Covering.Matrix.n_cols m)
     (Covering.Matrix.n_rows red.Covering.Reduce.core)

@@ -11,7 +11,6 @@ type t = {
   use_gimpel : bool;
   use_penalties : bool;
   warm_start : bool;
-  incremental_reduce : bool;
   seed : int;
   jobs : int;
   par_min_rows : int;
@@ -36,7 +35,6 @@ let default =
     use_gimpel = true;
     use_penalties = true;
     warm_start = true;
-    incremental_reduce = true;
     seed = 0x5C6;
     jobs = 1;
     par_min_rows = Par.default_min_rows;
@@ -50,9 +48,9 @@ let default =
 let pp ppf c =
   Fmt.pf ppf
     "@[<v>MaxR=%d NumIter=%d BestCol=%d+%d DualPen=%d alpha=%g c_hat=%g mu_hat=%g \
-     gimpel=%b incremental=%b seed=%d jobs=%d par_min_rows=%d dense=%d \
+     gimpel=%b seed=%d jobs=%d par_min_rows=%d dense=%d \
      zdd_table=%d zdd_gc=%d chain=%b@]"
     c.max_rows_implicit c.num_iter c.best_col_start c.best_col_growth
-    c.dual_pen_max_cols c.alpha c.c_hat c.mu_hat c.use_gimpel c.incremental_reduce
+    c.dual_pen_max_cols c.alpha c.c_hat c.mu_hat c.use_gimpel
     c.seed c.jobs c.par_min_rows c.dense_threshold c.zdd_initial_size
     c.zdd_gc_threshold c.zdd_chain_reduction

@@ -33,12 +33,6 @@ type t = {
   warm_start : bool;
       (** reuse the previous subproblem's multipliers as λ₀/μ₀ (§3.2,
           default true).  Ablation knob. *)
-  incremental_reduce : bool;
-      (** run explicit reductions on the incremental worklist engine
-          ({!Covering.Reduce2}) instead of the legacy
-          one-pass-per-kind {!Covering.Reduce} loop (default true).
-          Both produce the same cyclic core; the flag exists for
-          differential testing and benchmarking. *)
   seed : int;  (** RNG seed for the randomised runs (default 0x5C6). *)
   jobs : int;
       (** worker count for component parallelism: cyclic-core components

@@ -54,16 +54,6 @@ type result = {
 
 let ceil_int x = int_of_float (Float.ceil (x -. 1e-6))
 
-(* Both engines compute the same cyclic core (see test_reduce2); the flag
-   keeps the legacy pass-based loop reachable for differential runs.  Only
-   the incremental engine is governed — the legacy engine exists precisely
-   as the ungoverned differential baseline. *)
-let cyclic_core ~(config : Config.t) ~budget ~telemetry ~gimpel m =
-  if config.Config.incremental_reduce then
-    Reduce2.cyclic_core ~budget ~telemetry ~gimpel
-      ~dense_threshold:config.Config.dense_threshold m
-  else Reduce.cyclic_core ~telemetry ~gimpel m
-
 (* Bookkeeping for solutions expressed as column identifiers of the saved
    cyclic core A_e (virtual Gimpel identifiers of the initial reduction are
    legal members). *)
@@ -251,7 +241,10 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~component ~rand
             else begin
               (* explicit reductions to the next stable point; Gimpel is
                  disabled mid-descent so committed identifiers stay real *)
-              let red = cyclic_core ~config ~budget ~telemetry ~gimpel:false m in
+              let red =
+                Reduce2.cyclic_core ~budget ~telemetry ~gimpel:false
+                  ~dense_threshold:config.Config.dense_threshold m
+              in
               let ess_ids = Reduce.lift red.Reduce.trace [] in
               let committed_ids = committed_ids @ ess_ids in
               let committed_cost = committed_cost + red.Reduce.fixed_cost in
@@ -337,7 +330,8 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
   (* ---- explicit reductions to the exact cyclic core ---- *)
   let red =
     Telemetry.span telemetry "explicit-reduce" (fun () ->
-        cyclic_core ~config ~budget ~telemetry ~gimpel:config.use_gimpel decoded)
+        Reduce2.cyclic_core ~budget ~telemetry ~gimpel:config.use_gimpel
+          ~dense_threshold:config.dense_threshold decoded)
   in
   let t_core = Budget.Clock.now () -. t_start in
   let core = red.Reduce.core in

@@ -35,18 +35,6 @@ let[@inline] popcount x =
   + Char.code (Bytes.unsafe_get pop16 ((x lsr 32) land 0xffff))
   + Char.code (Bytes.unsafe_get pop16 (x lsr 48))
 
-(* Call [f] on the index of every set bit of [w], ascending, offset by
-   [base].  The index of the isolated lowest bit [b] is popcount (b-1);
-   for b = the bit-62 pattern, [b - 1] wraps to max_int, whose popcount
-   is 62 — still right. *)
-let iter_bits base w f =
-  let w = ref w in
-  while !w <> 0 do
-    let b = !w land (- !w) in
-    f (base + popcount (b - 1));
-    w := !w lxor b
-  done
-
 let words_for n = (n + word_bits - 1) / word_bits
 
 (* Global accounting for the dense.components / dense.words telemetry
@@ -197,7 +185,7 @@ let row_hits t i ~cols =
 (* ------------------------------------------------------------------ *)
 
 (* Sparse needs the same two bitset planes but kept in sync through
-   deletions, Gimpel column appends and trail rollbacks.  Row count is
+   deletions and Gimpel column appends.  Row count is
    fixed for the lifetime of a Sparse matrix; columns can grow, so the
    row-bitset stride [rw] and the column-plane capacity are mutable.
 
@@ -236,28 +224,20 @@ module Mut = struct
     t.colb.(c) <- t.colb.(c) lor (1 lsl (i mod word_bits))
 
   (* directional updates on element (i, j): deleting a row erases its
-     bit from the column plane but keeps its own row bitset (the row
-     list is likewise kept by Sparse for revival), and symmetrically
-     for columns; rollback re-splices one plane at a time too *)
+     bit from the column plane but keeps its own row bitset (Sparse
+     likewise keeps the dead row's element list), and symmetrically for
+     columns *)
   let clear_in_col t i j =
     let c = (j * t.cw) + (i / word_bits) in
     t.colb.(c) <- t.colb.(c) land lnot (1 lsl (i mod word_bits))
-
-  let set_in_col t i j =
-    let c = (j * t.cw) + (i / word_bits) in
-    t.colb.(c) <- t.colb.(c) lor (1 lsl (i mod word_bits))
 
   let clear_in_row t i j =
     let r = (i * t.rw) + (j / word_bits) in
     t.rowb.(r) <- t.rowb.(r) land lnot (1 lsl (j mod word_bits))
 
-  let set_in_row t i j =
-    let r = (i * t.rw) + (j / word_bits) in
-    t.rowb.(r) <- t.rowb.(r) lor (1 lsl (j mod word_bits))
-
   (* make column slot [j] usable: grow the column plane and widen the
-     row bitsets if needed, then zero the slot (it may be a reused index
-     still holding a dropped column's bits) *)
+     row bitsets if needed.  Sparse never reuses a column index, so the
+     slot's bits are still zero. *)
   let ensure_col t j =
     if j >= t.cap then begin
       let cap' = max (j + 1) (2 * t.cap) in
@@ -274,8 +254,7 @@ module Mut = struct
       done;
       t.rowb <- rowb';
       t.rw <- rw'
-    end;
-    Array.fill t.colb (j * t.cw) t.cw 0
+    end
 
   let row_subset t i i' = subset_words t.rowb (i * t.rw) (i' * t.rw) t.rw
   let col_subset t j j' = subset_words t.colb (j * t.cw) (j' * t.cw) t.cw

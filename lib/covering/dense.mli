@@ -25,10 +25,6 @@ val popcount : int -> int
 (** Number of set bits, valid for every [int] including negative ones
     (bit 62 set). *)
 
-val iter_bits : int -> int -> (int -> unit) -> unit
-(** [iter_bits base w f] calls [f (base + k)] for every set bit [k] of
-    [w], in ascending order. *)
-
 val words_for : int -> int
 (** Words needed for an [n]-bit bitset. *)
 
@@ -123,22 +119,18 @@ val words_total : int Atomic.t
 
 (** {1 Mutable mirror for {!Sparse}} *)
 
-(** The same two planes kept in sync through {!Sparse} deletions, Gimpel
-    column appends and trail rollbacks, so {!Sparse.row_subset} /
+(** The same two planes kept in sync through {!Sparse} deletions and
+    Gimpel column appends, so {!Sparse.row_subset} /
     {!Sparse.col_subset} — the dominance hot loop of {!Reduce2} — run on
     words.  Maintenance protocol (one plane per operation, mirroring the
-    one-list-at-a-time splices of the Sparse trail):
+    one-list-at-a-time splices of {!Sparse}):
 
     - [delete_row i] clears bit [i] from every live column's bitset
       ({!Mut.clear_in_col}); the row's own bitset is kept, like its
-      element list, for revival;
+      element list;
     - [delete_col j] clears bit [j] from every live row's bitset
       ({!Mut.clear_in_row});
-    - rollback re-sets one plane per popped trail op
-      ({!Mut.set_in_col} for a column-list relink, {!Mut.set_in_row}
-      for a row-list relink);
-    - appended columns call {!Mut.ensure_col} first, which also zeroes
-      the (possibly reused) column slot.
+    - appended columns call {!Mut.ensure_col} first.
 
     Liveness is {e not} tracked here: Sparse only compares live lines,
     and the protocol above keeps each plane's live-line incidences
@@ -153,13 +145,11 @@ module Mut : sig
   (** Set element (i, j) in both planes (initial build, [add_col]). *)
 
   val clear_in_col : t -> int -> int -> unit
-  val set_in_col : t -> int -> int -> unit
   val clear_in_row : t -> int -> int -> unit
-  val set_in_row : t -> int -> int -> unit
 
   val ensure_col : t -> int -> unit
   (** Make column slot [j] usable: grow the column plane / widen row
-      bitsets as needed and zero the slot. *)
+      bitsets as needed. *)
 
   val row_subset : t -> int -> int -> bool
   val col_subset : t -> int -> int -> bool

@@ -68,7 +68,7 @@ let solve ?(budget = Budget.none) ?ub ?(max_nodes = 200_000) ?(gimpel = true) ?e
     incr nodes;
     if !nodes > max_nodes then raise Out_of_nodes;
     if Budget.tick budget Budget.Exact_bb then raise Out_of_nodes;
-    let { Reduce.core; trace; fixed_cost } = Reduce.cyclic_core ~gimpel m in
+    let { Reduce.core; trace; fixed_cost } = Reduce2.cyclic_core ~gimpel m in
     let acc = acc_cost + fixed_cost in
     let lift_here core_sol = lift_to_root (Reduce.lift trace core_sol) in
     if Matrix.is_empty core then begin

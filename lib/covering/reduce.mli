@@ -1,10 +1,13 @@
-(** Explicit covering-matrix reductions (the paper's [Explicit_Reductions]).
+(** The vocabulary of the explicit covering-matrix reductions (the
+    paper's [Explicit_Reductions]).
 
     The classical toolbox surveyed by Coudert: essential columns, row
     dominance, column dominance and Gimpel's reduction, iterated to a
     fixpoint.  The stable matrix that remains is the {e cyclic core}; when
     it is empty the essential columns found along the way form an optimal
-    solution of the input matrix.
+    solution of the input matrix.  {!Reduce2.cyclic_core} computes it;
+    this module holds the result and trace types it returns and the
+    mapping of core solutions back to the input.
 
     All reductions preserve at least one optimal solution.  Because
     Gimpel's reduction introduces a {e virtual} column standing for "pay
@@ -28,26 +31,6 @@ type result = {
   trace : trace;
   fixed_cost : int;  (** cost already committed (essentials + Gimpel bases) *)
 }
-
-val essential_columns : Matrix.t -> int list
-(** Column indices appearing in singleton rows. *)
-
-val dominated_rows : Matrix.t -> bool array
-(** [true] for rows that strictly contain another row (or duplicate an
-    earlier row) and can be deleted. *)
-
-val dominated_columns : Matrix.t -> bool array
-(** [true] for columns [j] dominated by some [k]: [rows(k) ⊇ rows(j)] and
-    [cost(k) ≤ cost(j)] (ties broken towards keeping the smaller index). *)
-
-val step : ?gimpel:bool -> next_virtual_id:int ref -> Matrix.t -> result option
-(** One pass of essential / row-dominance / column-dominance (/ Gimpel);
-    [None] when nothing applies. *)
-
-val cyclic_core : ?telemetry:Telemetry.t -> ?gimpel:bool -> Matrix.t -> result
-(** Iterate {!step} to the fixpoint.  [gimpel] defaults to [true].
-    [telemetry] counts eliminations under the same per-rule counter
-    names as {!Reduce2.cyclic_core}. *)
 
 val lift : trace -> int list -> int list
 (** [lift trace core_solution_ids] maps a solution of the core (as original

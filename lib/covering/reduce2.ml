@@ -1,9 +1,9 @@
 (* Worklist-driven cyclic-core extraction on the mutable Sparse matrix.
 
-   The legacy engine (Reduce) applies one reduction kind per pass and
-   rebuilds the whole immutable matrix after each, so a cascade of k
-   generations costs O(k * nnz) even when each generation removes a
-   handful of lines.  Here a deletion enqueues exactly the lines whose
+   A pass engine applies one reduction kind per pass and rebuilds the
+   whole immutable matrix after each, so a cascade of k generations
+   costs O(k * nnz) even when each generation removes a handful of
+   lines.  Here a deletion enqueues exactly the lines whose
    neighbourhood changed:
 
    - deleting a column shrinks the rows it covered -> those rows are
@@ -15,21 +15,18 @@
    dominated by a shrinking row, and a column can only *become*
    dominated when its own row set shrinks, so re-checking the shrunk
    line from its own perspective covers every newly created dominance;
-   the initial full seeding covers the static ones.  The same argument
-   makes the engine restartable: at a fixpoint nothing holds between
-   untouched lines, so after external deletions (commit_col) seeding
-   just the touched lines finds every new reduction.
+   the initial full seeding covers the static ones.
 
-   To keep the fixpoint (and its tie-breaks) aligned with the legacy
-   engine, the phase order mirrors its per-pass priorities: drain the
-   row worklist (essentials + row dominance) to a fixpoint, then run one
-   batched column-dominance round evaluated against a frozen state —
-   exactly like the legacy all-at-once pass, where an already-marked
-   column may still serve as a dominator — then return to the rows.
-   Gimpel's reduction fires only with both worklists empty, scanning
-   live rows in index order like the legacy find_gimpel, and the engine
-   stops the instant no row is left (the legacy step sees an empty
-   matrix and keeps whatever columns remain). *)
+   To keep the fixpoint (and its tie-breaks) aligned with the pass
+   engine the tests compare against, the phase order mirrors its
+   per-pass priorities: drain the row worklist (essentials + row
+   dominance) to a fixpoint, then run one batched column-dominance
+   round evaluated against a frozen state — exactly like an all-at-once
+   pass, where an already-marked column may still serve as a
+   dominator — then return to the rows.  Gimpel's reduction fires only
+   with both worklists empty, scanning live rows in index order, and
+   the engine stops the instant no row is left (a pass engine sees an
+   empty matrix and keeps whatever columns remain). *)
 
 type engine = {
   s : Sparse.t;
@@ -65,10 +62,6 @@ let engine ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?(gimpel = true
     next_virtual_id = !max_id + 1;
     in_batch = Array.make (max 4 (Sparse.n_cols s)) false;
   }
-
-let sparse e = e.s
-let trace e = List.rev e.trace_rev
-let fixed_cost e = e.fixed
 
 let col_flag e j =
   if j >= Array.length e.col_dirty then begin
@@ -108,7 +101,8 @@ let del_col e j =
         push_row e r
       end)
 
-let commit_col e j =
+(* take column [j] into the solution: delete it and every row it covers *)
+let take_col e j =
   Sparse.iter_col e.s j (fun r -> if Sparse.row_alive e.s r then del_row e r);
   if Sparse.col_alive e.s j then del_col e j
 
@@ -127,7 +121,7 @@ let select_essential e c =
   e.fixed <- e.fixed + Sparse.cost e.s c;
   Telemetry.incr e.tl "reduce.cols_essential";
   Telemetry.add e.tl "reduce.rows_covered_essential" (Sparse.col_len e.s c);
-  commit_col e c
+  take_col e c
 
 let process_row e i =
   if Sparse.row_alive e.s i then begin
@@ -149,10 +143,10 @@ let process_row e i =
     end
   end
 
-(* one legacy-style column-dominance round: evaluate every dirty column
+(* one batched column-dominance round: evaluate every dirty column
    against the current (frozen) state, then delete the whole batch.
-   Marked columns still serve as dominators during evaluation, as in
-   Reduce.dominated_columns. *)
+   Marked columns still serve as dominators during evaluation, as in an
+   all-at-once dominance pass. *)
 let col_phase e =
   if Array.length e.in_batch < Array.length e.col_dirty then
     e.in_batch <- Array.make (Array.length e.col_dirty) false;
@@ -282,8 +276,8 @@ let cyclic_core ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?(gimpel =
     seed_all e;
     run e;
     let core =
-      (* already a cyclic core: hand the input back like the legacy
-         engine does, instead of rebuilding an identical copy *)
+      (* already a cyclic core: hand the input back instead of
+         rebuilding an identical copy *)
       if
         Sparse.rows_alive e.s = Matrix.n_rows m
         && Sparse.cols_alive e.s = Matrix.n_cols m
@@ -291,5 +285,5 @@ let cyclic_core ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?(gimpel =
       then m
       else Sparse.to_matrix e.s
     in
-    { Reduce.core; trace = trace e; fixed_cost = e.fixed }
+    { Reduce.core; trace = List.rev e.trace_rev; fixed_cost = e.fixed }
   end

@@ -1,23 +1,22 @@
-(** Incremental worklist-driven reduction to the cyclic core.
+(** Worklist-driven reduction to the cyclic core: the explicit-reduction
+    engine of both solvers.
 
-    Same contract as {!Reduce.cyclic_core} — identical core, the same
-    essential/Gimpel events (trace order may differ within a generation)
-    and the same [fixed_cost] — but computed on the mutable {!Sparse}
-    representation with dirty-line worklists instead of
-    one-reduction-kind-per-pass over rebuilt immutable matrices.
+    The reductions (essential columns, row and column dominance,
+    Gimpel's reduction) run on the mutable {!Sparse} representation
+    with dirty-line worklists.  Deleting a column enqueues only the rows
+    it touched for the essentiality / row-dominance re-check; deleting a
+    row enqueues only the columns it touched for the column-dominance
+    re-check.  Reaching the fixpoint therefore costs O(initial full scan
+    + work proportional to what the reductions actually remove), where
+    a pass-by-pass engine pays a full matrix scan {e and} a full rebuild
+    per pass.
 
-    Deleting a column enqueues only the rows it touched for the
-    essentiality / row-dominance re-check; deleting a row enqueues only
-    the columns it touched for the column-dominance re-check.  Reaching
-    the fixpoint therefore costs O(initial full scan + work proportional
-    to what the reductions actually remove), where the legacy engine
-    pays a full matrix scan {e and} a full rebuild per pass.
-
-    The per-kind priorities of the legacy engine are preserved
-    (essentials and row dominance to fixpoint, then one batched column
-    dominance round, Gimpel only when nothing else applies, stop the
-    moment no row is left) so both engines walk the same reduction
-    states and tie-breaks resolve identically. *)
+    The engine keeps the per-kind priorities of the pass-by-pass
+    reading of the paper (essentials and row dominance to fixpoint,
+    then one batched column dominance round, Gimpel only when nothing
+    else applies, stop the moment no row is left), so tie-breaks
+    resolve exactly as there; the test suite checks it against that
+    pass engine, kept as its oracle. *)
 
 val cyclic_core :
   ?budget:Budget.t ->
@@ -26,12 +25,12 @@ val cyclic_core :
   ?dense_threshold:int ->
   Matrix.t ->
   Reduce.result
-(** Drop-in replacement for {!Reduce.cyclic_core}; [gimpel] defaults to
-    [true].  Solutions of the core lift through {!Reduce.lift} exactly
-    as with the legacy engine.  Every worklist step is a {!Budget.tick}
-    checkpoint (site {!Budget.Explicit_reduce}); on a trip the fixpoint
-    stops early and the partially reduced — still equivalent — matrix is
-    returned as the core.  [telemetry] counts eliminations per rule
+(** Reduce to the cyclic core; [gimpel] defaults to [true].  Solutions
+    of the core lift to the input through {!Reduce.lift}.  Every
+    worklist step is a {!Budget.tick} checkpoint (site
+    {!Budget.Explicit_reduce}); on a trip the fixpoint stops early and
+    the partially reduced — still equivalent — matrix is returned as
+    the core.  [telemetry] counts eliminations per rule
     ([reduce.cols_essential], [reduce.rows_covered_essential],
     [reduce.rows_dominated], [reduce.cols_dominated], [reduce.gimpel]).
 
@@ -39,47 +38,3 @@ val cyclic_core :
     {!Dense.default_threshold}; [0] forces the pure sparse path) the
     engine runs its dominance subset tests on a {!Dense.Mut} bitset
     mirror — same reductions, same core, word-parallel inner loops. *)
-
-(** {1 Persistent engine}
-
-    The payoff of the worklist design: a descent that repeatedly commits
-    a column and re-reduces can keep one engine alive for its whole
-    walk.  Committing deletes the column and its rows in place and
-    enqueues exactly the touched lines; the next {!run} re-reduces from
-    there — no submatrix build, no re-seeding, no re-conversion.  The
-    state after [commit_col]+[run] is the state {!Reduce.cyclic_core}
-    would compute on the corresponding submatrix. *)
-
-type engine
-
-val engine :
-  ?budget:Budget.t -> ?telemetry:Telemetry.t -> ?gimpel:bool -> Sparse.t -> engine
-(** Wrap a sparse matrix (taking ownership).  Worklists start empty;
-    call {!seed_all} before the first {!run} so the static reductions
-    are found.  [budget] governs every subsequent {!run}; [telemetry]
-    receives the same per-rule counters as {!cyclic_core}. *)
-
-val seed_all : engine -> unit
-(** Enqueue every live line — the initial full scan. *)
-
-val commit_col : engine -> int -> unit
-(** Fix column [j] into the solution: delete it and every row it
-    covers, enqueueing the touched lines.  No trace event and no
-    [fixed_cost] contribution — the caller accounts for committed
-    columns itself, as {!Scg.construct} does. *)
-
-val run : engine -> unit
-(** Drain the worklists to the reduction fixpoint (or until no row is
-    left).  Safe to call repeatedly; a call with empty worklists only
-    re-tests Gimpel's reduction. *)
-
-val sparse : engine -> Sparse.t
-(** The underlying matrix, for inspection between runs. *)
-
-val trace : engine -> Reduce.trace_item list
-(** All events so far, oldest first — cumulative across runs.  Snapshot
-    the length before a run to recover that run's delta. *)
-
-val fixed_cost : engine -> int
-(** Total cost of essential columns selected so far (plus Gimpel
-    bases), cumulative across runs. *)

@@ -1,7 +1,7 @@
 (* Doubly-linked sparse matrix in the espresso mincov tradition: every
    nonzero is on a circular row list and a circular column list, each
    anchored by a sentinel, so line deletion is a pointer splice per
-   element and undo is the reverse splice. *)
+   element. *)
 
 type elem = {
   e_row : int;
@@ -11,16 +11,6 @@ type elem = {
   mutable up : elem;
   mutable down : elem;
 }
-
-(* One primitive mutation each; rollback pops newest-first, which makes
-   every relink valid (the neighbours an element was spliced out from are
-   adjacent again by the time it is re-spliced). *)
-type op =
-  | Vrelink of elem  (* element was unlinked from its column list *)
-  | Hrelink of elem  (* element was unlinked from its row list *)
-  | Revive_row of int
-  | Revive_col of int
-  | Drop_col of int  (* column was appended by add_col *)
 
 type t = {
   n_rows : int;
@@ -36,12 +26,9 @@ type t = {
   mutable cost : int array;
   row_ids : int array;
   mutable col_ids : int array;
-  mutable trailing : bool;
-  mutable trail : op list;
-  mutable trail_len : int;
   mirror : Dense.Mut.t option;
       (* word-parallel bitset mirror for the dominance subset tests;
-         kept in sync by every mutation and by rollback *)
+         kept in sync by every mutation *)
 }
 
 let sentinel row col =
@@ -60,12 +47,6 @@ let link_col_tail h e =
   h.up.down <- e;
   h.up <- e
 
-let record t op =
-  if t.trailing then begin
-    t.trail <- op :: t.trail;
-    t.trail_len <- t.trail_len + 1
-  end
-
 let of_matrix ?(dense = false) m =
   let n_rows = Matrix.n_rows m and n_cols = Matrix.n_cols m in
   let t =
@@ -83,9 +64,6 @@ let of_matrix ?(dense = false) m =
       cost = Array.init n_cols (Matrix.cost m);
       row_ids = Array.init n_rows (Matrix.row_id m);
       col_ids = Array.init n_cols (Matrix.col_id m);
-      trailing = false;
-      trail = [];
-      trail_len = 0;
       mirror = (if dense then Some (Dense.Mut.create ~n_rows ~n_cols) else None);
     }
   in
@@ -214,7 +192,6 @@ let delete_row t i =
   if not (row_alive t i) then invalid_arg "Sparse.delete_row: dead row";
   t.row_ok.(i) <- false;
   t.rows_alive <- t.rows_alive - 1;
-  record t (Revive_row i);
   let h = t.row_head.(i) in
   let rec go e =
     if e != h then begin
@@ -224,7 +201,6 @@ let delete_row t i =
       (match t.mirror with
       | Some d -> Dense.Mut.clear_in_col d i e.e_col
       | None -> ());
-      record t (Vrelink e);
       go e.right
     end
   in
@@ -234,7 +210,6 @@ let delete_col t j =
   if not (col_alive t j) then invalid_arg "Sparse.delete_col: dead column";
   t.col_ok.(j) <- false;
   t.cols_alive <- t.cols_alive - 1;
-  record t (Revive_col j);
   let h = t.col_head.(j) in
   let rec go e =
     if e != h then begin
@@ -244,7 +219,6 @@ let delete_col t j =
       (match t.mirror with
       | Some d -> Dense.Mut.clear_in_row d e.e_row j
       | None -> ());
-      record t (Hrelink e);
       go e.down
     end
   in
@@ -295,67 +269,7 @@ let add_col t ~cost ~id ~rows =
       t.col_len.(j) <- t.col_len.(j) + 1;
       match t.mirror with Some d -> Dense.Mut.set d i j | None -> ())
     rows;
-  record t (Drop_col j);
   j
-
-(* ---- trail ---- *)
-
-let set_trailing t b =
-  t.trailing <- b;
-  t.trail <- [];
-  t.trail_len <- 0
-
-let mark t = t.trail_len
-
-let rollback t m =
-  if m > t.trail_len then invalid_arg "Sparse.rollback: mark from the future";
-  while t.trail_len > m do
-    (match t.trail with
-    | [] -> assert false
-    | op :: rest ->
-      t.trail <- rest;
-      (match op with
-      | Vrelink e ->
-        e.up.down <- e;
-        e.down.up <- e;
-        t.col_len.(e.e_col) <- t.col_len.(e.e_col) + 1;
-        (match t.mirror with
-        | Some d -> Dense.Mut.set_in_col d e.e_row e.e_col
-        | None -> ())
-      | Hrelink e ->
-        e.left.right <- e;
-        e.right.left <- e;
-        t.row_len.(e.e_row) <- t.row_len.(e.e_row) + 1;
-        (match t.mirror with
-        | Some d -> Dense.Mut.set_in_row d e.e_row e.e_col
-        | None -> ())
-      | Revive_row i ->
-        t.row_ok.(i) <- true;
-        t.rows_alive <- t.rows_alive + 1
-      | Revive_col j ->
-        t.col_ok.(j) <- true;
-        t.cols_alive <- t.cols_alive + 1
-      | Drop_col j ->
-        (* later mutations are already undone, so the column is fully
-           linked exactly as add_col left it *)
-        let h = t.col_head.(j) in
-        let rec go e =
-          if e != h then begin
-            e.left.right <- e.right;
-            e.right.left <- e.left;
-            t.row_len.(e.e_row) <- t.row_len.(e.e_row) - 1;
-            (match t.mirror with
-            | Some d -> Dense.Mut.clear_in_row d e.e_row j
-            | None -> ());
-            go e.down
-          end
-        in
-        go h.down;
-        t.col_ok.(j) <- false;
-        t.cols_alive <- t.cols_alive - 1;
-        t.n_cols <- j));
-    t.trail_len <- t.trail_len - 1
-  done
 
 (* ---- conversion ---- *)
 

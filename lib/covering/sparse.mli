@@ -12,18 +12,14 @@
     Row and column {e indices} are stable for the lifetime of the
     structure (dead lines keep their slot); columns appended by Gimpel's
     reduction get fresh indices past the original ones.  Identifiers and
-    costs travel with the lines exactly as in {!Matrix}.
-
-    An optional {e trail} records every splice so a block of deletions
-    can be undone in O(work done) — the commit-and-backtrack pattern of
-    the Lagrangian descent.  Recording is off by default. *)
+    costs travel with the lines exactly as in {!Matrix}. *)
 
 type t
 
 val of_matrix : ?dense:bool -> Matrix.t -> t
 (** O(nnz) conversion; the input matrix is not retained.  With
     [~dense:true] a {!Dense.Mut} bitset mirror is built and kept in sync
-    through every mutation and rollback, turning {!row_subset} /
+    through every mutation, turning {!row_subset} /
     {!col_subset} — the dominance hot loop — into word-parallel scans.
     Results are identical either way; the mirror costs
     O(rows·cols/word) memory, so callers gate it on matrix size (see
@@ -102,20 +98,6 @@ val add_col : t -> cost:int -> id:int -> rows:int list -> int
 (** Append a fresh column covering [rows] (strictly ascending live row
     indices) and return its index — Gimpel's virtual column.  Cost must
     be positive. *)
-
-(** {1 Undo trail} *)
-
-val set_trailing : t -> bool -> unit
-(** Toggle recording.  Turning recording off clears the trail; marks
-    taken earlier become invalid. *)
-
-val mark : t -> int
-(** Checkpoint for {!rollback}.  Only meaningful while trailing. *)
-
-val rollback : t -> int -> unit
-(** Undo every mutation performed since the checkpoint, newest first.
-    Rolling back across a {!set_trailing} boundary is a programming
-    error. *)
 
 (** {1 Invariants} *)
 

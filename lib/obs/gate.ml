@@ -21,21 +21,21 @@ let find_instance name j =
   List.find_opt (fun i -> member_s "name" i = Some name) (instances j)
 
 (* ------------------------------------------------------------------ *)
-(* Reduce-mode baselines (BENCH_reduce.json shape)                    *)
+(* Dense-mode baselines (BENCH_dense.json shape)                      *)
 (*                                                                    *)
-(* The gated quantity is the incremental-vs-legacy speedup ratio, not  *)
-(* absolute seconds: both sides of the ratio are measured in the same  *)
-(* process on the same machine, so the gate is portable across hosts   *)
-(* and tolerant of absolute CI slowness.                               *)
+(* The gated quantity is the dense-vs-sparse speedup ratio of the      *)
+(* dominance+greedy hot loops ([total]), not absolute seconds: both    *)
+(* sides of the ratio are measured in the same process on the same     *)
+(* machine, so the gate is portable across hosts and tolerant of       *)
+(* absolute CI slowness.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_reduce ?(sides = "incremental and legacy engines") ~tolerance ~baseline
-    ~fresh () =
+let check_dense ~tolerance ~baseline ~fresh =
   let fails = ref [] and lines = ref [] in
   let note fmt = Format.kasprintf (fun s -> lines := s :: !lines) fmt in
   let fail fmt = Format.kasprintf (fun s -> fails := s :: !fails; lines := s :: !lines) fmt in
   (if member_b "identical_results" fresh <> Some true then
-     fail "FAIL identical_results: %s disagree" sides);
+     fail "FAIL identical_results: dense and sparse paths disagree");
   List.iter
     (fun base_inst ->
       match member_s "name" base_inst with
@@ -51,7 +51,7 @@ let check_reduce ?(sides = "incremental and legacy engines") ~tolerance ~baselin
         | None -> fail "FAIL %s: missing from the fresh run" name
         | Some fresh_inst -> (
           (if member_b "identical" fresh_inst = Some false then
-             fail "FAIL %s: engines disagree on this instance" name);
+             fail "FAIL %s: dense and sparse paths disagree on this instance" name);
           match (speedup_of base_inst, speedup_of fresh_inst) with
           | Some base_sp, Some fresh_sp ->
             let floor = base_sp *. (1. -. tol) in
@@ -400,22 +400,18 @@ let check_scale ~tolerance ~baseline ~fresh =
 let check ?(tolerance = default_tolerance) ?(min_seconds = default_min_seconds)
     ~baseline ~fresh () =
   match (member_s "mode" baseline, member_s "table" baseline) with
-  | Some "reduce", _ -> check_reduce ~tolerance ~baseline ~fresh ()
   | Some "serve", _ -> check_serve ~baseline ~fresh
-  | Some "dense", _ ->
-    (* BENCH_dense.json shares the reduce-mode shape: identical_results,
-       per-instance total.speedup (the dominance+greedy hot loops) and
-       the aggregate ratio — only the two sides of the ratio differ *)
-    check_reduce ~sides:"dense and sparse paths" ~tolerance ~baseline ~fresh ()
+  | Some "dense", _ -> check_dense ~tolerance ~baseline ~fresh
   | Some "zdd", _ -> check_zdd ~tolerance ~baseline ~fresh
   | Some "scale", _ -> check_scale ~tolerance ~baseline ~fresh
   | _, Some "par" -> check_par ~baseline ~fresh
   | _, Some _ -> check_table ~tolerance ~min_seconds ~baseline ~fresh
-  | _ ->
+  | Some mode, None ->
+    { pass = false; lines = [ Printf.sprintf "FAIL unknown benchmark mode %S" mode ] }
+  | None, None ->
     {
       pass = false;
-      lines =
-        [ "FAIL baseline is neither a reduce-mode nor a table benchmark file" ];
+      lines = [ "FAIL baseline has neither a \"mode\" nor a \"table\" field" ];
     }
 
 let pp ppf v =

@@ -2,19 +2,16 @@
     against a committed baseline JSON and produce a pass/fail verdict
     with one line per check.
 
-    Three baseline shapes are understood (dispatch on their top-level
-    fields):
+    These baseline shapes are understood (dispatch on their top-level
+    fields); a baseline naming any other mode fails with a line that
+    names it:
 
-    - [{"mode":"reduce", ...}] — the reduction-engine comparison
-      ([BENCH_reduce.json]).  The gated quantity is the
-      incremental-vs-legacy {e speedup ratio} per instance and in
-      aggregate: both sides are measured in the same process, so the
-      gate is portable across machines.  Engine-result mismatches fail
-      unconditionally.
     - [{"mode":"dense", ...}] — the bit-slice kernel comparison
-      ([BENCH_dense.json]), same shape and rules with dense-vs-sparse
-      as the two sides of the ratio ([total] covers the
-      dominance+greedy hot loops).
+      ([BENCH_dense.json]).  The gated quantity is the dense-vs-sparse
+      {e speedup ratio} of the dominance+greedy hot loops ([total]) per
+      instance and in aggregate: both sides are measured in the same
+      process, so the gate is portable across machines.  Dense/sparse
+      result mismatches fail unconditionally.
     - [{"table":<id>, ...}] — a per-instance solver table
       ([BENCH_table1.json], …).  Quality fields ([cost],
       [lower_bound], [proven_optimal]) are deterministic and compared

@@ -2,6 +2,9 @@
 
 module Matrix = Covering.Matrix
 
+(* the pass engine the worklist reduction engine is tested against *)
+module Reduce_oracle = Reduce_oracle
+
 (* A random feasible covering matrix: [n_rows] rows over [n_cols] columns,
    density roughly [density], every row non-empty by construction. *)
 let random_matrix rng ?(uniform = false) ~n_rows ~n_cols ~density () =

@@ -132,7 +132,7 @@ let test_reducible_profile () =
   let m = Benchsuite.Randucp.reducible ~name:"p" ~n_rows:80 ~n_cols:40 () in
   Alcotest.(check int) "rows" 80 (Matrix.n_rows m);
   (* reductions should bite hard: the core is much smaller than the input *)
-  let r = Covering.Reduce.cyclic_core m in
+  let r = Covering.Reduce2.cyclic_core m in
   check "core shrank" true (Matrix.n_rows r.Covering.Reduce.core < 40)
 
 let test_cyclic_profile () =
@@ -141,7 +141,8 @@ let test_cyclic_profile () =
     Alcotest.(check int) "k per row" 3 (Array.length (Matrix.row m i))
   done;
   (* no essentials by construction *)
-  Alcotest.(check (list int)) "no essential" [] (Covering.Reduce.essential_columns m)
+  Alcotest.(check (list int)) "no essential" []
+    (Test_support.Reduce_oracle.essential_columns m)
 
 let test_vertex_cover_structure () =
   let m = Benchsuite.Randucp.vertex_cover ~name:"vc" ~n_vertices:12 ~n_edges:20 () in

@@ -97,29 +97,34 @@ let test_irredundant_rejects_non_cover () =
 
 (* ------------------------------------------------------------------ *)
 (* Reduce                                                             *)
+(*                                                                    *)
+(* The single reduction rules on the pass-engine oracle; the cyclic   *)
+(* core and its lift on Reduce2, the engine both solvers run.         *)
 (* ------------------------------------------------------------------ *)
+
+module Oracle = TS.Reduce_oracle
 
 let test_essential_detection () =
   let m = m_abc () in
-  Alcotest.(check (list int)) "essential" [ 2 ] (Reduce.essential_columns m)
+  Alcotest.(check (list int)) "essential" [ 2 ] (Oracle.essential_columns m)
 
 let test_row_dominance () =
   (* row {0,1,2} is a superset of row {1} and must go *)
   let m = Matrix.create ~n_cols:3 [ [ 0; 1; 2 ]; [ 1 ]; [ 0; 2 ] ] in
-  let dr = Reduce.dominated_rows m in
+  let dr = Oracle.dominated_rows m in
   Alcotest.(check (list bool)) "dominated" [ true; false; false ] (Array.to_list dr)
 
 let test_col_dominance () =
   (* col 0 ⊂ col 1 with equal costs: 0 is dominated *)
   let m = Matrix.create ~n_cols:3 [ [ 0; 1 ]; [ 1; 2 ]; [ 1 ] ] in
-  let dc = Reduce.dominated_columns m in
+  let dc = Oracle.dominated_columns m in
   check "col 0 dominated" true dc.(0);
   check "col 1 kept" true (not dc.(1))
 
 let test_cyclic_core_solves_triangle () =
   (* essential then cascade: classic fully-reducible instance *)
   let m = Matrix.create ~n_cols:3 [ [ 2 ]; [ 1; 2 ]; [ 0; 1 ] ] in
-  let r = Reduce.cyclic_core m in
+  let r = Reduce2.cyclic_core m in
   check "core empty" true (Matrix.is_empty r.Reduce.core);
   let sol = Reduce.lift r.Reduce.trace [] in
   check "lifted covers" true (Matrix.covers m sol);
@@ -128,7 +133,7 @@ let test_cyclic_core_solves_triangle () =
 let test_cyclic_core_of_cycle () =
   (* odd cycle: nothing reduces *)
   let m = TS.c5_matrix () in
-  let r = Reduce.cyclic_core m in
+  let r = Reduce2.cyclic_core m in
   Alcotest.(check int) "rows kept" 5 (Matrix.n_rows r.Reduce.core);
   Alcotest.(check int) "cols kept" 5 (Matrix.n_cols r.Reduce.core);
   Alcotest.(check int) "no fixed cost" 0 r.Reduce.fixed_cost
@@ -140,7 +145,7 @@ let test_gimpel_triggers () =
     Matrix.create ~cost:[| 1; 3; 1; 2 |] ~n_cols:4 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ]
   in
   let opt_direct = Exact.brute_force m in
-  let r = Reduce.cyclic_core ~gimpel:true m in
+  let r = Reduce2.cyclic_core ~gimpel:true m in
   (* solving the core then lifting must reproduce the optimal cost *)
   let core_opt = if Matrix.is_empty r.Reduce.core then [] else Exact.brute_force r.Reduce.core in
   let lifted = Reduce.lift r.Reduce.trace core_opt in
@@ -153,16 +158,16 @@ let test_gimpel_triggers () =
 let test_step_none_on_cyclic_core () =
   let m = TS.c5_matrix () in
   let next_virtual_id = ref 100 in
-  check "no step applies" true (Reduce.step ~next_virtual_id m = None);
+  check "no step applies" true (Oracle.step ~next_virtual_id m = None);
   check "empty matrix: no step" true
-    (Reduce.step ~next_virtual_id (Matrix.create ~n_cols:2 []) = None)
+    (Oracle.step ~next_virtual_id (Matrix.create ~n_cols:2 []) = None)
 
 let prop_reductions_preserve_optimum =
   QCheck.Test.make ~name:"cyclic core preserves the optimum" ~count:120 TS.arb_seed
     (fun seed ->
       let m = TS.small_matrix_of_seed seed in
       let direct = Matrix.cost_of m (Exact.brute_force m) in
-      let r = Reduce.cyclic_core ~gimpel:true m in
+      let r = Reduce2.cyclic_core ~gimpel:true m in
       let core_sol =
         if Matrix.is_empty r.Reduce.core then [] else Exact.brute_force r.Reduce.core
       in
@@ -173,7 +178,7 @@ let prop_lift_cost_consistent =
   QCheck.Test.make ~name:"fixed_cost + core cost = lifted cost" ~count:120 TS.arb_seed
     (fun seed ->
       let m = TS.small_matrix_of_seed seed in
-      let r = Reduce.cyclic_core ~gimpel:true m in
+      let r = Reduce2.cyclic_core ~gimpel:true m in
       let core_sol =
         if Matrix.is_empty r.Reduce.core then []
         else Exact.brute_force r.Reduce.core

@@ -25,10 +25,6 @@ let naive_popcount x =
   done;
   !n
 
-let naive_bits x =
-  List.filter (fun k -> x land (1 lsl k) <> 0)
-    (List.init Dense.word_bits Fun.id)
-
 (* ------------------------------------------------------------------ *)
 (* Word-level unit properties                                          *)
 (* ------------------------------------------------------------------ *)
@@ -71,21 +67,6 @@ let test_popcount_table () =
       [ 0; 16; 32; 48 ]
   done;
   check_int "entries differing from the bit loop" 0 (List.length !wrong)
-
-let test_iter_bits_random () =
-  for _ = 1 to 500 do
-    let w = random_word () in
-    let got = ref [] in
-    Dense.iter_bits 0 w (fun k -> got := k :: !got);
-    let got = List.rev !got in
-    check (Printf.sprintf "iter_bits %x" w) true (got = naive_bits w);
-    (* ascending order is part of the contract: float accumulations in
-       the greedy kernels rely on it *)
-    check "ascending" true (List.sort Stdlib.compare got = got)
-  done;
-  let got = ref [] in
-  Dense.iter_bits 100 0b1011 (fun k -> got := k :: !got);
-  check "base offset" true (List.rev !got = [ 100; 101; 103 ])
 
 let test_words_for () =
   check_int "0" 0 (Dense.words_for 0);
@@ -223,7 +204,7 @@ let test_greedy_rejects_foreign_mirror () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Sparse mirror maintenance through deletions and rollbacks           *)
+(* Sparse mirror maintenance through deletions and column appends      *)
 (* ------------------------------------------------------------------ *)
 
 let test_mirror_through_mutations () =
@@ -231,55 +212,60 @@ let test_mirror_through_mutations () =
   let s = Sparse.of_matrix ~dense:true m in
   check "mirror present" true (Sparse.has_mirror s);
   Sparse.check s;
-  let mark = Sparse.mark s in
-  Sparse.delete_row s 3;
-  Sparse.delete_row s 17;
-  Sparse.delete_col s 5;
-  Sparse.check s;
-  let j = Sparse.add_col s ~cost:2 ~id:1000 ~rows:[ 1; 7; 20; 39 ] in
-  Sparse.check s;
-  Sparse.delete_col s j;
-  Sparse.check s;
-  Sparse.rollback s mark;
-  (* after a full rollback the mirror must agree with the lists again —
-     Sparse.check verifies every live row/column bit *)
-  Sparse.check s;
-  (* and subset answers must match a fresh un-mutated build *)
-  let fresh = Sparse.of_matrix m in
+  (* the same mutations on a mirrorless twin give the reference subset
+     answers *)
+  let plain = Sparse.of_matrix m in
+  let both f =
+    f s;
+    f plain;
+    (* Sparse.check verifies every live row/column bit of the mirror *)
+    Sparse.check s
+  in
+  both (fun t -> Sparse.delete_row t 3);
+  both (fun t -> Sparse.delete_row t 17);
+  both (fun t -> Sparse.delete_col t 5);
+  both (fun t -> ignore (Sparse.add_col t ~cost:2 ~id:1000 ~rows:[ 1; 7; 20; 39 ]));
+  both (fun t -> Sparse.delete_col t 8);
+  both (fun t -> ignore (Sparse.add_col t ~cost:3 ~id:1001 ~rows:[ 0; 2; 39 ]));
+  both (fun t -> Sparse.delete_col t (Sparse.n_cols t - 2));
   for i = 0 to Sparse.n_rows s - 1 do
     for i' = 0 to Sparse.n_rows s - 1 do
-      check "row_subset after rollback" true
-        (Sparse.row_subset s i i' = Sparse.row_subset fresh i i')
+      if Sparse.row_alive s i && Sparse.row_alive s i' then
+        check "row_subset after mutations" true
+          (Sparse.row_subset s i i' = Sparse.row_subset plain i i')
+    done
+  done;
+  for j = 0 to Sparse.n_cols s - 1 do
+    for j' = 0 to Sparse.n_cols s - 1 do
+      if Sparse.col_alive s j && Sparse.col_alive s j' then
+        check "col_subset after mutations" true
+          (Sparse.col_subset s j j' = Sparse.col_subset plain j j')
     done
   done
 
 let test_mirror_through_reduction () =
-  (* the real workload: a full worklist reduction (deletions, Gimpel
-     appends, internal rollbacks) must leave a consistent mirror, and
-     the reduced core must match the mirrorless run exactly *)
+  (* the real workload: a full worklist reduction (deletions and Gimpel
+     appends) on the bitset mirror must reach exactly the core, fixed
+     cost and trace of the forced sparse path *)
   List.iter
     (fun (inst : Benchsuite.Registry.instance) ->
       let m = Benchsuite.Registry.matrix inst in
-      let with_mirror = Reduce2.engine ~gimpel:true (Sparse.of_matrix ~dense:true m) in
-      Reduce2.seed_all with_mirror;
-      Reduce2.run with_mirror;
-      Sparse.check (Reduce2.sparse with_mirror);
-      let without = Reduce2.engine ~gimpel:true (Sparse.of_matrix m) in
-      Reduce2.seed_all without;
-      Reduce2.run without;
-      let a = Sparse.to_matrix (Reduce2.sparse with_mirror)
-      and b = Sparse.to_matrix (Reduce2.sparse without) in
-      check (inst.Benchsuite.Registry.name ^ " same core") true
-        (Matrix.n_rows a = Matrix.n_rows b
-        && Matrix.n_cols a = Matrix.n_cols b
-        && Array.init (Matrix.n_rows a) (Matrix.row a)
-           = Array.init (Matrix.n_rows b) (Matrix.row b)
-        && Array.init (Matrix.n_cols a) (Matrix.col_id a)
-           = Array.init (Matrix.n_cols b) (Matrix.col_id b));
-      check_int
-        (inst.Benchsuite.Registry.name ^ " same fixed cost")
-        (Reduce2.fixed_cost without)
-        (Reduce2.fixed_cost with_mirror))
+      let name = inst.Benchsuite.Registry.name in
+      check (name ^ " mirrored") true (Dense.eligible m);
+      let a = Reduce2.cyclic_core ~gimpel:true m
+      and b = Reduce2.cyclic_core ~gimpel:true ~dense_threshold:0 m in
+      let ca = a.Reduce.core and cb = b.Reduce.core in
+      check (name ^ " same core") true
+        (Matrix.n_rows ca = Matrix.n_rows cb
+        && Matrix.n_cols ca = Matrix.n_cols cb
+        && Array.init (Matrix.n_rows ca) (Matrix.row ca)
+           = Array.init (Matrix.n_rows cb) (Matrix.row cb)
+        && Array.init (Matrix.n_cols ca) (Matrix.col_id ca)
+           = Array.init (Matrix.n_cols cb) (Matrix.col_id cb));
+      check_int (name ^ " same fixed cost") b.Reduce.fixed_cost a.Reduce.fixed_cost;
+      check (name ^ " same trace") true
+        (List.sort Stdlib.compare a.Reduce.trace
+        = List.sort Stdlib.compare b.Reduce.trace))
     (Benchsuite.Registry.easy () @ Benchsuite.Registry.difficult ()
     @ Benchsuite.Registry.dense ())
 
@@ -384,7 +370,6 @@ let () =
           Alcotest.test_case "popcount random" `Quick test_popcount_random;
           Alcotest.test_case "popcount edges" `Quick test_popcount_edges;
           Alcotest.test_case "popcount table" `Quick test_popcount_table;
-          Alcotest.test_case "iter_bits" `Quick test_iter_bits_random;
           Alcotest.test_case "words_for" `Quick test_words_for;
         ] );
       ( "kernels",
@@ -398,8 +383,7 @@ let () =
         ] );
       ( "mirror",
         [
-          Alcotest.test_case "mutations + rollback" `Quick
-            test_mirror_through_mutations;
+          Alcotest.test_case "mutations" `Quick test_mirror_through_mutations;
           Alcotest.test_case "full reduction" `Quick test_mirror_through_reduction;
         ] );
       ( "differential",

@@ -365,10 +365,10 @@ let test_gauge_monotonicity () =
 (* Gate                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let reduce_json ?(identical = true) ?(tolerances = []) speedups =
+let dense_json ?(identical = true) ?(tolerances = []) speedups =
   Json.Obj
     [
-      ("mode", Json.String "reduce");
+      ("mode", Json.String "dense");
       ("identical_results", Json.Bool identical);
       ( "aggregate_total_speedup",
         Json.Float
@@ -389,39 +389,39 @@ let reduce_json ?(identical = true) ?(tolerances = []) speedups =
              speedups) );
     ]
 
-let test_gate_reduce () =
-  let baseline = reduce_json [ ("a", 8.0); ("b", 4.0) ] in
+let test_gate_dense () =
+  let baseline = dense_json [ ("a", 8.0); ("b", 4.0) ] in
   (* same speedups: pass *)
-  let v = Obs.Gate.check ~baseline ~fresh:(reduce_json [ ("a", 8.0); ("b", 4.0) ]) () in
+  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 8.0); ("b", 4.0) ]) () in
   checkb "identical passes" true v.Obs.Gate.pass;
   (* a mild slowdown within the default tolerance: pass *)
-  let v = Obs.Gate.check ~baseline ~fresh:(reduce_json [ ("a", 6.0); ("b", 3.5) ]) () in
+  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 6.0); ("b", 3.5) ]) () in
   checkb "mild slowdown passes" true v.Obs.Gate.pass;
   (* one instance collapses: fail, and the message names it *)
-  let v = Obs.Gate.check ~baseline ~fresh:(reduce_json [ ("a", 2.0); ("b", 4.0) ]) () in
+  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 2.0); ("b", 4.0) ]) () in
   checkb "collapse fails" false v.Obs.Gate.pass;
   checkb "failure names the instance" true
     (List.exists (fun l -> Test_support.contains l "FAIL a") v.Obs.Gate.lines);
-  (* engines disagreeing is an unconditional failure *)
+  (* dense and sparse paths disagreeing is an unconditional failure *)
   let v =
     Obs.Gate.check ~baseline
-      ~fresh:(reduce_json ~identical:false [ ("a", 8.0); ("b", 4.0) ])
+      ~fresh:(dense_json ~identical:false [ ("a", 8.0); ("b", 4.0) ])
       ()
   in
   checkb "mismatch fails" false v.Obs.Gate.pass;
   (* a missing instance is a failure, not a silent skip *)
-  let v = Obs.Gate.check ~baseline ~fresh:(reduce_json [ ("a", 8.0) ]) () in
+  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 8.0) ]) () in
   checkb "missing instance fails" false v.Obs.Gate.pass
 
 let test_gate_per_instance_tolerance () =
   (* the per-instance knob loosens exactly its row (b dominates the
      aggregate so only the instance check is in play) *)
-  let baseline = reduce_json ~tolerances:[ ("a", 0.9) ] [ ("a", 10.0); ("b", 40.0) ] in
-  let fresh = reduce_json [ ("a", 1.5); ("b", 40.0) ] in
+  let baseline = dense_json ~tolerances:[ ("a", 0.9) ] [ ("a", 10.0); ("b", 40.0) ] in
+  let fresh = dense_json [ ("a", 1.5); ("b", 40.0) ] in
   let v = Obs.Gate.check ~tolerance:0.4 ~baseline ~fresh () in
   checkb "instance tolerance honoured" true v.Obs.Gate.pass;
   (* the same drop without the override fails *)
-  let strict = reduce_json [ ("a", 10.0); ("b", 40.0) ] in
+  let strict = dense_json [ ("a", 10.0); ("b", 40.0) ] in
   let v = Obs.Gate.check ~tolerance:0.4 ~baseline:strict ~fresh () in
   checkb "without override fails" false v.Obs.Gate.pass
 
@@ -512,6 +512,17 @@ let test_gate_unknown_shape () =
   in
   checkb "unknown baseline fails" false v.Obs.Gate.pass
 
+let test_gate_unknown_mode () =
+  (* a stale baseline of a removed mode must fail loudly, naming it *)
+  let v =
+    Obs.Gate.check
+      ~baseline:(Json.Obj [ ("mode", Json.String "reduce") ])
+      ~fresh:(Json.Obj []) ()
+  in
+  checkb "unknown mode fails" false v.Obs.Gate.pass;
+  checkb "failure names the mode" true
+    (List.exists (fun l -> Test_support.contains l "\"reduce\"") v.Obs.Gate.lines)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -546,11 +557,12 @@ let () =
         [ Alcotest.test_case "monotonicity" `Quick test_gauge_monotonicity ] );
       ( "gate",
         [
-          Alcotest.test_case "reduce" `Quick test_gate_reduce;
+          Alcotest.test_case "dense" `Quick test_gate_dense;
           Alcotest.test_case "per-instance tolerance" `Quick
             test_gate_per_instance_tolerance;
           Alcotest.test_case "table" `Quick test_gate_table;
           Alcotest.test_case "zdd" `Quick test_gate_zdd;
           Alcotest.test_case "unknown shape" `Quick test_gate_unknown_shape;
+          Alcotest.test_case "unknown mode" `Quick test_gate_unknown_mode;
         ] );
     ]

@@ -1,8 +1,8 @@
-(* Differential tests for the incremental reduction engine: Reduce2 must
-   reproduce the legacy Reduce.cyclic_core byte for byte — same core,
-   same fixed cost, same trace events (order within a generation may
-   differ) — plus invariant and undo-trail checks for the Sparse
-   substrate it runs on. *)
+(* Differential tests for the worklist reduction engine: Reduce2 must
+   reproduce the pass engine kept as the test oracle
+   (Test_support.Reduce_oracle) byte for byte — same core, same fixed
+   cost, same trace events (order within a generation may differ) —
+   plus invariant checks for the Sparse substrate it runs on. *)
 
 open Covering
 module TS = Test_support
@@ -35,20 +35,20 @@ let matrices_equal a b =
 let sorted_trace t = List.sort Stdlib.compare t
 
 let engines_agree ?(gimpel = true) name m =
-  let legacy = Reduce.cyclic_core ~gimpel m in
+  let oracle = TS.Reduce_oracle.cyclic_core ~gimpel m in
   let incr = Reduce2.cyclic_core ~gimpel m in
   Matrix.transpose_check incr.Reduce.core;
-  if legacy.Reduce.fixed_cost <> incr.Reduce.fixed_cost then
-    Alcotest.failf "%s: fixed_cost %d vs %d" name legacy.Reduce.fixed_cost
+  if oracle.Reduce.fixed_cost <> incr.Reduce.fixed_cost then
+    Alcotest.failf "%s: fixed_cost %d vs %d" name oracle.Reduce.fixed_cost
       incr.Reduce.fixed_cost;
-  if sorted_trace legacy.Reduce.trace <> sorted_trace incr.Reduce.trace then
+  if sorted_trace oracle.Reduce.trace <> sorted_trace incr.Reduce.trace then
     Alcotest.failf "%s: traces differ (%d vs %d events)" name
-      (List.length legacy.Reduce.trace)
+      (List.length oracle.Reduce.trace)
       (List.length incr.Reduce.trace);
-  if not (matrices_equal legacy.Reduce.core incr.Reduce.core) then
+  if not (matrices_equal oracle.Reduce.core incr.Reduce.core) then
     Alcotest.failf "%s: cores differ (%dx%d vs %dx%d)" name
-      (Matrix.n_rows legacy.Reduce.core)
-      (Matrix.n_cols legacy.Reduce.core)
+      (Matrix.n_rows oracle.Reduce.core)
+      (Matrix.n_cols oracle.Reduce.core)
       (Matrix.n_rows incr.Reduce.core)
       (Matrix.n_cols incr.Reduce.core)
 
@@ -85,6 +85,17 @@ let test_equiv_randucp () =
     engines_agree ~gimpel:true (name ^ "/g") m;
     engines_agree ~gimpel:false (name ^ "/ng") m
   done
+
+(* the registry's difficult and dense instances, the cores the bench
+   tables and the golden corpus solve *)
+let test_equiv_registry () =
+  List.iter
+    (fun (inst : Benchsuite.Registry.instance) ->
+      let m = Benchsuite.Registry.matrix inst in
+      let name = inst.Benchsuite.Registry.name in
+      engines_agree ~gimpel:true (name ^ "/g") m;
+      engines_agree ~gimpel:false (name ^ "/ng") m)
+    (Benchsuite.Registry.difficult () @ Benchsuite.Registry.dense ())
 
 let prop_equiv_random =
   QCheck.Test.make ~name:"incremental engine = legacy engine" ~count:150
@@ -150,37 +161,13 @@ let test_sparse_deletion () =
   in
   check "matches submatrix" true (matrices_equal sub (Sparse.to_matrix s))
 
-let test_sparse_rollback () =
-  let m = sq_matrix () in
-  let s = Sparse.of_matrix m in
-  Sparse.set_trailing s true;
-  let mk = Sparse.mark s in
-  Sparse.delete_row s 0;
-  Sparse.delete_col s 1;
-  let v = Sparse.add_col s ~cost:5 ~id:77 ~rows:[ 1; 2 ] in
-  Sparse.check s;
-  Alcotest.(check int) "virtual col live" 2 (Sparse.col_len s v);
-  Sparse.rollback s mk;
-  Sparse.check s;
-  check "back to the original" true (matrices_equal m (Sparse.to_matrix s));
-  (* a second block of work after a rollback must also unwind cleanly *)
-  let mk2 = Sparse.mark s in
-  Sparse.delete_row s 2;
-  Sparse.delete_row s 1;
-  Sparse.check s;
-  Alcotest.(check int) "one row left" 1 (Sparse.rows_alive s);
-  Sparse.rollback s mk2;
-  Sparse.check s;
-  check "restored again" true (matrices_equal m (Sparse.to_matrix s))
-
 let prop_sparse_check_random =
-  QCheck.Test.make ~name:"invariants hold under random deletions + rollback"
+  QCheck.Test.make
+    ~name:"invariants hold under random deletions; survivors = submatrix"
     ~count:120 TS.arb_seed (fun seed ->
       let m = TS.medium_matrix_of_seed seed in
       let s = Sparse.of_matrix m in
       Sparse.check s;
-      Sparse.set_trailing s true;
-      let mk = Sparse.mark s in
       let rng = Random.State.make [| seed |] in
       (* random row deletions plus column deletions that keep every live
          row non-empty (the Reduce2 contract) *)
@@ -205,9 +192,10 @@ let prop_sparse_check_random =
           end
         end
       done;
-      Sparse.rollback s mk;
-      Sparse.check s;
-      matrices_equal m (Sparse.to_matrix s))
+      (* the survivors are exactly the submatrix over the live lines *)
+      let keep_rows = Array.init (Sparse.n_rows s) (Sparse.row_alive s)
+      and keep_cols = Array.init (Sparse.n_cols s) (Sparse.col_alive s) in
+      matrices_equal (Matrix.submatrix m ~keep_rows ~keep_cols) (Sparse.to_matrix s))
 
 let () =
   Alcotest.run "reduce2"
@@ -216,6 +204,7 @@ let () =
         [
           Alcotest.test_case "randucp suite" `Quick test_equiv_randucp;
           Alcotest.test_case "edge cases" `Quick test_equiv_empty_and_trivial;
+          Alcotest.test_case "registry suites" `Quick test_equiv_registry;
           QCheck_alcotest.to_alcotest prop_equiv_random;
           QCheck_alcotest.to_alcotest prop_lift_agrees;
         ] );
@@ -223,7 +212,6 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_sparse_round_trip;
           Alcotest.test_case "deletion" `Quick test_sparse_deletion;
-          Alcotest.test_case "rollback" `Quick test_sparse_rollback;
           QCheck_alcotest.to_alcotest prop_sparse_check_random;
         ] );
     ]
