@@ -225,9 +225,8 @@ let test_mirror_through_mutations () =
   both (fun t -> Sparse.delete_row t 17);
   both (fun t -> Sparse.delete_col t 5);
   both (fun t -> ignore (Sparse.add_col t ~cost:2 ~id:1000 ~rows:[ 1; 7; 20; 39 ]));
-  both (fun t -> Sparse.delete_col t 8);
-  both (fun t -> ignore (Sparse.add_col t ~cost:3 ~id:1001 ~rows:[ 0; 2; 39 ]));
-  both (fun t -> Sparse.delete_col t (Sparse.n_cols t - 2));
+  (* the appended column is the last slot *)
+  both (fun t -> Sparse.delete_col t (Sparse.n_cols t - 1));
   for i = 0 to Sparse.n_rows s - 1 do
     for i' = 0 to Sparse.n_rows s - 1 do
       if Sparse.row_alive s i && Sparse.row_alive s i' then

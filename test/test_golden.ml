@@ -104,14 +104,7 @@ let exact_answer inst =
       (String.concat "," (List.map string_of_int r.Covering.Exact.solution)) )
 
 (* the instance an Exact line pins: the word after the prefix *)
-let exact_name line =
-  let rest =
-    String.sub line (String.length exact_prefix)
-      (String.length line - String.length exact_prefix)
-  in
-  match String.index_opt rest ' ' with
-  | Some k -> String.sub rest 0 k
-  | None -> rest
+let exact_name line = List.nth (String.split_on_char ' ' line) 1
 
 (* [dune runtest] runs in the test directory, [dune exec] at the root *)
 let expected () =
