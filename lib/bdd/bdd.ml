@@ -46,7 +46,7 @@ module Cache1 = Hashtbl.Make (Int)
 
 (* Engine-wide tunable shared with worker domains spawned later, kept in
    lockstep with the ZDD manager's knob (see Zdd.configure). *)
-let cfg_initial_size = Atomic.make 65_536
+let cfg_initial_size = Atomic.make 4_096
 
 let configure ?initial_size () =
   Option.iter (fun n -> Atomic.set cfg_initial_size (max 16 n)) initial_size
@@ -75,10 +75,10 @@ let state_key : state Domain.DLS.key =
         unique = Unique.create (Atomic.get cfg_initial_size);
         next_tag = 2;
         peak = 0;
-        and_cache = Cache2.create 65_536;
-        or_cache = Cache2.create 65_536;
-        xor_cache = Cache2.create 65_536;
-        not_cache = Cache1.create 65_536;
+        and_cache = Cache2.create 4_096;
+        or_cache = Cache2.create 4_096;
+        xor_cache = Cache2.create 4_096;
+        not_cache = Cache1.create 4_096;
         size_seen = Cache1.create 1_024;
         collections = 0;
         reclaimed_total = 0;

@@ -133,7 +133,7 @@ val disj : t list -> t
 
 val configure : ?initial_size:int -> unit -> unit
 (** [initial_size] seeds the unique table of managers created after the
-    call (per-domain; default 65_536, clamped to ≥ 16).  Kept as a
+    call (per-domain; default 4_096, clamped to ≥ 16).  Kept as a
     shared atomic so worker domains inherit it, mirroring
     [Zdd.configure]. *)
 

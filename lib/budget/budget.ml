@@ -166,6 +166,51 @@ let tick t site =
           else false
       end)
 
+(* [charge] books a batch only when ticking it one by one would not trip.
+   Every counter is monotone against a fixed threshold, so "no tick of
+   the batch fires" is "the last tick at each counter does not fire",
+   and the clock is read at most once, when the batch crosses a
+   multiple of [check_every] as the one-by-one ticks would.  The
+   differences are written [k > limit - count], which cannot overflow
+   and also refuses when [absorb] has already carried a count past its
+   limit. *)
+let charge t batch =
+  if List.exists (fun (_, k) -> k < 0) batch then
+    invalid_arg "Budget.charge: negative tick count";
+  let total p = List.fold_left (fun acc (s, k) -> if p s then acc + k else acc) 0 batch in
+  match t.limits with
+  | None -> true
+  | Some l ->
+    let n = total (fun _ -> true) in
+    if n = 0 then true
+    else if t.trip <> None || Atomic.get l.interrupted then false
+    else begin
+      let faults =
+        if l.fault_after = max_int then 0
+        else total (fun s -> match l.fault_site with None -> true | Some f -> f = s)
+      in
+      let nodes =
+        total (function Implicit_reduce | Explicit_reduce | Exact_bb -> true | _ -> false)
+      and steps = total (function Subgradient | Dual_ascent -> true | _ -> false) in
+      let ticks = t.ticks + n in
+      let would_trip =
+        (faults > 0 && faults >= l.fault_after - t.fault_ticks)
+        || (nodes > 0 && nodes > l.node_budget - t.node_ticks)
+        || (steps > 0 && steps > l.step_budget - t.step_ticks)
+        || l.deadline_at < infinity
+           && ticks / l.check_every > t.ticks / l.check_every
+           && l.now () >= l.deadline_at
+      in
+      if would_trip then false
+      else begin
+        t.ticks <- ticks;
+        t.node_ticks <- t.node_ticks + nodes;
+        t.step_ticks <- t.step_ticks + steps;
+        t.fault_ticks <- t.fault_ticks + faults;
+        true
+      end
+    end
+
 (* Parallel solving: one forked child per worker.  Limits are immutable
    and shared — in particular [deadline_at] is an absolute instant on the
    shared wall clock, so every domain races the same deadline — while the

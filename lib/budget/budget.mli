@@ -111,6 +111,22 @@ val tick : t -> site -> bool
     tripped (every later tick returns [true] immediately), so a trip
     deep in a nested loop unwinds the whole solver stack. *)
 
+val charge : t -> (site * int) list -> bool
+(** [charge g batch] books [batch] — [k] ticks at [site] for each
+    [(site, k)] — all at once, or not at all.  It books the batch and
+    returns [true] iff ticking it one by one with {!tick} would not have
+    stopped the solver; [g] then holds the tick counts those ticks would
+    have left, so every later {!tick} trips (or not) at the same site,
+    reason and tick.  Otherwise it returns [false] and changes nothing:
+    on a tripped or interrupted governor, when a node, step or fault
+    limit would fire inside the batch, or when the batch crosses a
+    clock-read tick (a multiple of [check_every]) past the deadline.
+    An empty batch and {!none} always accept.  A solver that already
+    knows the work a computation will do — [Scg] reusing a cold root —
+    charges it instead of redoing it, and redoes it on a refusal so the
+    trip lands where it always did.
+    @raise Invalid_argument on a negative tick count. *)
+
 val tripped : t -> trip option
 (** The first trip, if any. *)
 

@@ -58,7 +58,7 @@ type t = {
           speed only. *)
   zdd_initial_size : int;
       (** initial unique-table size for per-domain ZDD/BDD managers
-          (default {!Zdd.default_initial_size} = 65_536).  Applied via
+          (default {!Zdd.default_initial_size} = 4_096).  Applied via
           [Zdd.configure]/[Bdd.configure] at the top of every solve, so
           worker domains spawned for parallel components inherit it. *)
   zdd_gc_threshold : int;

@@ -76,18 +76,33 @@ module Core_space = struct
     List.fold_left (fun acc id -> acc + Hashtbl.find t.cost_by_id id) 0 ids
 
   let irredundant t ids =
-    let idx = List.map (Hashtbl.find t.index_by_id) ids in
-    let idx = Matrix.irredundant t.core (List.sort_uniq Stdlib.compare idx) in
+    let idx = Matrix.irredundant t.core (List.map (Hashtbl.find t.index_by_id) ids) in
     List.map (Matrix.col_id t.core) idx
 end
+
+(* A component's last cold root (doc/ALGORITHMS.md, "Reusing the cold
+   root").  Every descent of a solve without a warm pair opens on the
+   whole core with a fresh multiplier memory, and nothing random runs
+   before fixing, so the root's subgradient outcome is a function of the
+   core, the configuration and [ub], and its dual penalties one of the
+   core and their own [z_best].  Each is kept under its key, and only
+   the last of each: the incumbent only falls, so an older key never
+   returns. *)
+type root_memo = {
+  mutable cold : (int * Subgradient.outcome * int) option;
+      (* ub, the outcome, and the Dual_ascent ticks it took (its
+         Subgradient ticks are its steps) *)
+  mutable dual_pen : (int * Penalties.outcome) option;  (* z_best, outcome *)
+}
 
 (* One constructive descent from the cyclic core: alternate subgradient,
    penalties, heuristic fixing and explicit reductions until the matrix is
    empty or the path is bound-dominated.  Returns the candidate solutions
    found (in core-identifier space) and the best lower bound certified for
-   the *full* core (i.e. from subgradient runs before any fixing). *)
-let construct ~(config : Config.t) ~budget ~telemetry ~warm ~component ~rand
-    ~best_cols ~(space : Core_space.t) ~(z_best : int ref)
+   the *full* core (i.e. from subgradient runs before any fixing).  [memo]
+   is the component's root memo, [None] when a warm pair is given. *)
+let construct ~(config : Config.t) ~budget ~telemetry ~warm ~memo ~component
+    ~rand ~best_cols ~(space : Core_space.t) ~(z_best : int ref)
     ~(best_ids : int list ref) ~stats_steps ~stats_fixes ~stats_pen =
   (* [warm]: externally owned multiplier memory (a solve daemon passing
      state from a previous request for the same instance); the memory is
@@ -134,7 +149,8 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~component ~rand
         Telemetry.incr telemetry
           (if lambda0 = None then "warm.lambda0_miss" else "warm.lambda0_hit");
       let ub = !z_best - committed_cost in
-      let sg =
+      let memo = if first then memo else None in
+      let run () =
         Telemetry.span telemetry "subgradient" (fun () ->
             let on_step =
               if Telemetry.enabled telemetry then
@@ -147,6 +163,38 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~component ~rand
             Subgradient.run ~budget ~config:config.Config.subgradient
               ~dense_threshold:config.Config.dense_threshold ?lambda0 ?mu0
               ?on_step ~ub m)
+      in
+      let sg =
+        match memo with
+        | None -> run ()
+        | Some memo -> (
+          (* reuse the root only once the governor has booked the ticks
+             it took; a refused charge re-runs it, so a trip lands on
+             the very tick it would have *)
+          match memo.cold with
+          | Some (ub', sg, dual_ticks)
+            when ub' = ub
+                 && Budget.charge budget
+                      [
+                        (Budget.Dual_ascent, dual_ticks);
+                        (Budget.Subgradient, sg.Subgradient.steps);
+                      ] ->
+            Telemetry.add telemetry "subgradient.reused_steps" sg.Subgradient.steps;
+            sg
+          | _ ->
+            let ticks0 = Budget.ticks budget in
+            let sg = run () in
+            (* nothing in a run ticks but its steps and its dual-ascent
+               seeding; a tripped root is never reused *)
+            if Budget.tripped budget = None then begin
+              let dual_ticks =
+                if Budget.is_active budget then
+                  Budget.ticks budget - ticks0 - sg.Subgradient.steps
+                else 0
+              in
+              memo.cold <- Some (ub, sg, dual_ticks)
+            end;
+            sg)
       in
       stats_steps := !stats_steps + sg.Subgradient.steps;
       Telemetry.add telemetry "subgradient.steps" sg.Subgradient.steps;
@@ -167,8 +215,17 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~component ~rand
           else Penalties.nothing
         in
         let pen_dual =
-          Penalties.dual ~max_cols:config.Config.dual_pen_max_cols m
-            ~z_best:(!z_best - committed_cost)
+          let z = !z_best - committed_cost in
+          let compute () = Penalties.dual ~max_cols:config.Config.dual_pen_max_cols m ~z_best:z in
+          match memo with
+          | None -> compute ()
+          | Some memo -> (
+            match memo.dual_pen with
+            | Some (z', pen) when z' = z -> pen
+            | _ ->
+              let pen = compute () in
+              memo.dual_pen <- Some (z, pen);
+              pen)
         in
         let forced_out =
           List.sort_uniq Stdlib.compare
@@ -338,8 +395,7 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
   let finish ~core_ids ~lb_core_int ~steps ~iterations ~best_iteration ~fixes ~pen =
     (* map a core-space solution back to input indices and report *)
     let lifted = Reduce.lift red.Reduce.trace core_ids in
-    let full = List.sort_uniq Stdlib.compare (essential0 @ lifted) in
-    let full = Matrix.irredundant input full in
+    let full = Matrix.irredundant input (essential0 @ lifted) in
     let cost = Matrix.cost_of input full in
     let lower_bound = essential0_cost + red.Reduce.fixed_cost + lb_core_int in
     let total = Budget.Clock.now () -. t_start in
@@ -412,6 +468,9 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
       let z_best = ref (Matrix.cost_of sub g) in
       let best_ids = ref (List.map (Matrix.col_id sub) g) in
       let best_lb = ref 0 in
+      (* lives for this component only: no state outlives the solve, and
+         a warm pair starts later roots warm, so it gets no memo *)
+      let memo = if warm = None then Some { cold = None; dual_pen = None } else None in
       (try
          for iter = 0 to config.num_iter - 1 do
            if Budget.tripped budget <> None then raise Exit;
@@ -420,7 +479,7 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
            let before = !z_best in
            let lb =
              Telemetry.span telemetry "descent" (fun () ->
-                 construct ~config ~budget ~telemetry ~warm ~component ~rand
+                 construct ~config ~budget ~telemetry ~warm ~memo ~component ~rand
                    ~best_cols ~space ~z_best ~best_ids ~stats_steps:steps
                    ~stats_fixes:fixes ~stats_pen:pen)
            in

@@ -88,6 +88,16 @@ val solve :
     [telemetry] (default: {!Telemetry.null}, a no-op) records phase
     spans, reduction/fixing counters and the per-step subgradient trace.
 
+    Without [warm], each component keeps its last cold root — the
+    subgradient run that opens a descent — and a later descent at the
+    same incumbent reuses it once [Budget.charge] has booked the ticks
+    it took; a refused charge re-runs it, so budgeted answers and trip
+    ticks are those of a solve that re-runs every root
+    (doc/ALGORITHMS.md §15).  Reused steps count in
+    [stats.subgradient_steps] and in the ["subgradient.steps"] counter
+    as before, and also in ["subgradient.reused_steps"]; they write no
+    step records.
+
     [warm] is an externally owned [(λ, μ)] multiplier memory (see
     {!Warm}): the descents read their warm starts from it and write the
     final multipliers back through it, so a caller holding one pair per

@@ -85,7 +85,12 @@ let solve ?(budget = Budget.none) ?ub ?(max_nodes = 200_000) ?(gimpel = true) ?e
       let lb = acc + core_bound in
       if at_root then root_lb := lb;
       if lb < !incumbent_cost then begin
-        match limit_bound_filter core mis ~lb ~ub:!incumbent_cost with
+        (* the limit bound theorem holds for the bound of the very
+           independent rows the filter checks, not for [extra_bound] *)
+        match
+          limit_bound_filter core mis ~lb:(acc + mis.Mis_bound.bound)
+            ~ub:!incumbent_cost
+        with
         | None -> ()
         | Some core ->
           (* branch on the columns of a shortest row, cheapest rating first;

@@ -38,9 +38,11 @@ val solve :
     one is found at or below it); [max_nodes] defaults to 200_000;
     [gimpel] (default true) enables Gimpel's reduction inside node
     reductions; [extra_bound], when given, is evaluated on each node's
-    cyclic core and its value is combined (max) with the MIS bound —
-    inject {!Bounds.strengthened_mis} for the Goldberg/Coudert-style
-    stronger pruning.
+    cyclic core and its value is combined (max) with the MIS bound for
+    pruning — inject {!Bounds.strengthened_mis} for the
+    Goldberg/Coudert-style stronger pruning.  The limit-bound column
+    filter (paper Theorem 2) always uses the MIS bound alone: the
+    theorem holds only for the independent rows it checks.
     @raise Invalid_argument on an infeasible matrix (cannot happen for
     well-formed matrices: every row is non-empty by construction). *)
 

@@ -7,6 +7,7 @@ type t = {
   row_ids : int array;
   col_ids : int array;
   id_index : (int, int) Hashtbl.t Lazy.t;
+  drop_order : int array Atomic.t;
 }
 
 (* id -> column index, built on first use; col_ids is never mutated after
@@ -67,6 +68,7 @@ let create ?cost ~n_cols row_lists =
     row_ids = Array.init n_rows Fun.id;
     col_ids;
     id_index = id_index_of col_ids;
+    drop_order = Atomic.make [||];
   }
 
 let of_parts ~n_cols ~rows ~cost ~row_ids ~col_ids =
@@ -84,6 +86,7 @@ let of_parts ~n_cols ~rows ~cost ~row_ids ~col_ids =
     row_ids;
     col_ids;
     id_index = id_index_of col_ids;
+    drop_order = Atomic.make [||];
   }
 
 let of_sets ?cost ~n_cols zdd =
@@ -155,6 +158,7 @@ let submatrix m ~keep_rows ~keep_cols =
     row_ids = Array.of_list !row_ids';
     col_ids;
     id_index = id_index_of col_ids;
+    drop_order = Atomic.make [||];
   }
 
 let add_virtual_column m ~cost ~id ~rows =
@@ -179,6 +183,7 @@ let add_virtual_column m ~cost ~id ~rows =
     row_ids = m.row_ids;
     col_ids;
     id_index = id_index_of col_ids;
+    drop_order = Atomic.make [||];
   }
 
 let covers m cols =
@@ -209,32 +214,67 @@ let uncovered m cols =
   done;
   !acc
 
+(* [irredundant]'s drop order: columns by cost descending, ties by index
+   descending.  Sorted on the first call and kept with the matrix; [[||]]
+   until then, which is also the order of a matrix without columns.  An
+   atomic rather than a lazy, so domains sharing a matrix at worst sort
+   the same order twice instead of racing on a lazy. *)
+let drop_order m =
+  let order = Atomic.get m.drop_order in
+  if Array.length order = m.n_cols then order
+  else begin
+    let order = Array.init m.n_cols (fun k -> m.n_cols - 1 - k) in
+    Array.stable_sort (fun a b -> Int.compare m.cost.(b) m.cost.(a)) order;
+    Atomic.set m.drop_order order;
+    order
+  end
+
+let prune m ~chosen ~times =
+  if Array.length chosen <> m.n_cols || Array.length times <> m.n_rows then
+    invalid_arg "Matrix.prune: buffer length mismatch";
+  (* [times.(i)]: how many chosen columns cover row [i] *)
+  Array.fill times 0 m.n_rows 0;
+  for j = 0 to m.n_cols - 1 do
+    if chosen.(j) then begin
+      let col = m.cols.(j) in
+      for k = 0 to Array.length col - 1 do
+        times.(col.(k)) <- times.(col.(k)) + 1
+      done
+    end
+  done;
+  (* walk the drop order once: a chosen column whose rows are all
+     covered twice is redundant and leaves *)
+  let order = drop_order m in
+  let cost = ref 0 in
+  for o = 0 to Array.length order - 1 do
+    let j = order.(o) in
+    if chosen.(j) then begin
+      let col = m.cols.(j) in
+      let k = ref 0 in
+      while !k < Array.length col && times.(col.(!k)) >= 2 do
+        incr k
+      done;
+      if !k = Array.length col then begin
+        chosen.(j) <- false;
+        for k = 0 to Array.length col - 1 do
+          times.(col.(k)) <- times.(col.(k)) - 1
+        done
+      end
+      else cost := !cost + m.cost.(j)
+    end
+  done;
+  !cost
+
 let irredundant m sol =
   if not (covers m sol) then invalid_arg "Matrix.irredundant: not a cover";
-  let sol = List.sort_uniq Int.compare sol in
-  let times_covered = Array.make m.n_rows 0 in
-  List.iter
-    (fun j -> Array.iter (fun i -> times_covered.(i) <- times_covered.(i) + 1) m.cols.(j))
-    sol;
-  (* try to drop columns, most expensive first (ties: higher index first so
-     the result is deterministic) *)
-  let order = Array.of_list sol in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare m.cost.(b) m.cost.(a) in
-      if c <> 0 then c else Int.compare b a)
-    order;
-  let kept = Array.make m.n_cols false in
-  List.iter (fun j -> kept.(j) <- true) sol;
-  Array.iter
-    (fun j ->
-      let redundant = Array.for_all (fun i -> times_covered.(i) >= 2) m.cols.(j) in
-      if redundant then begin
-        kept.(j) <- false;
-        Array.iter (fun i -> times_covered.(i) <- times_covered.(i) - 1) m.cols.(j)
-      end)
-    order;
-  List.filter (fun j -> kept.(j)) sol
+  let chosen = Array.make m.n_cols false in
+  List.iter (fun j -> chosen.(j) <- true) sol;
+  ignore (prune m ~chosen ~times:(Array.make m.n_rows 0));
+  let kept = ref [] in
+  for j = m.n_cols - 1 downto 0 do
+    if chosen.(j) then kept := j :: !kept
+  done;
+  !kept
 
 let transpose_check m =
   assert (Array.length m.rows = m.n_rows);

@@ -21,6 +21,9 @@ type t = private {
   col_ids : int array;  (** per column: identifier in the original problem *)
   id_index : (int, int) Hashtbl.t Lazy.t;
       (** lazy inverse of [col_ids], built on the first {!col_index_of_id} *)
+  drop_order : int array Atomic.t;
+      (** {!irredundant}'s drop order, sorted on its first call ([[||]]
+          until then) *)
 }
 
 val create : ?cost:int array -> n_cols:int -> int list list -> t
@@ -96,9 +99,22 @@ val uncovered : t -> int list -> int list
 (** Rows (indices) not covered by the given column indices. *)
 
 val irredundant : t -> int list -> int list
-(** Drop redundant columns from a cover greedily, most expensive first —
-    the paper's final "while p_best is redundant" loop.  The result covers
-    every row. @raise Invalid_argument if the input is not a cover. *)
+(** Drop redundant columns from a cover greedily, most expensive first
+    (ties: higher index first) — the paper's final "while p_best is
+    redundant" loop.  The result is sorted, covers every row, and does
+    not depend on the order of the input or on duplicates in it.  The
+    drop order is sorted once per matrix, not once per call.
+    @raise Invalid_argument on an out-of-range column (from {!covers})
+    or if the input is not a cover. *)
+
+val prune : t -> chosen:bool array -> times:int array -> int
+(** {!irredundant} in place, on a cover given as a column mask:
+    [chosen] (one flag per column; it must cover every row, unchecked)
+    loses exactly the columns {!irredundant} would drop, [times] (one
+    entry per row) is scratch, and the result is the cost of the columns
+    left.  It allocates nothing, so an ascent can prune its relaxed
+    covers in buffers it owns.
+    @raise Invalid_argument on a buffer of the wrong length. *)
 
 val transpose_check : t -> unit
 (** Internal-consistency assertion (rows/cols agreement); for tests. *)

@@ -6,8 +6,7 @@ let run ?(rule = Greedy.Cost_per_row) ?dense m ~reduced_costs =
     invalid_arg "Lag_greedy.run: reduced cost length mismatch";
   if Matrix.n_rows m = 0 then []
   else
-    Matrix.irredundant m
-      (List.sort_uniq Stdlib.compare (Greedy.cover ~rule ?dense m ~costs:reduced_costs))
+    Matrix.irredundant m (Greedy.cover ~rule ?dense m ~costs:reduced_costs)
 
 let run_all_rules ?dense m ~reduced_costs =
   let candidates =

@@ -16,7 +16,7 @@ val run :
   int list
 (** A feasible irredundant cover (column indices): the selection of
     {!Covering.Greedy.cover} at the reduced costs, then
-    {!Covering.Matrix.irredundant} over the picks in index order.
+    {!Covering.Matrix.irredundant} over the picks.
     Default rule {!Covering.Greedy.Cost_per_row}.  For columns with
     negative reduced cost the ratio rules would invert preference, so
     they are rated by [c̃·n] instead (more coverage, more negative — the

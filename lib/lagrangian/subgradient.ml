@@ -88,6 +88,8 @@ let run ?(budget = Budget.none) ?(config = default_config)
     let best_reduced = Relax.lagrangian_costs m lambda in
     let lower_bound = ref neg_infinity in
     let best_mu = Array.copy mu in
+    (* the pruning buffers of the relaxed covers below *)
+    let chosen = Array.make n_cols false and times = Array.make n_rows 0 in
     Relax.dual ws mu;
     let upper_dual = ref values.Relax.w_ld in
     let t = ref config.t0 in
@@ -130,12 +132,21 @@ let run ?(budget = Budget.none) ?(config = default_config)
       (* periodic Lagrangian heuristic (§3.5) *)
       if !steps = 1 || !steps mod config.heuristic_period = 0 then
         try_solution (Lag_greedy.run ?dense m ~reduced_costs:ws.Relax.c_tilde);
-      (* a feasible relaxed solution is a cover worth keeping *)
+      (* a feasible relaxed solution is a cover worth keeping.  No row
+         has s_i = 1 − |row_i ∩ p*| > 0, so p* covers every row: it is
+         pruned in the run's own buffers, and becomes a list only when
+         it beats the incumbent *)
       if ws.Relax.n_violated = 0 then begin
-        let sol = ref [] in
-        Array.iteri (fun j b -> if b then sol := j :: !sol) ws.Relax.p_star;
-        if !sol <> [] && Matrix.covers m !sol then
-          try_solution (Matrix.irredundant m !sol)
+        Array.blit ws.Relax.p_star 0 chosen 0 n_cols;
+        let cost = Matrix.prune m ~chosen ~times in
+        if cost < !best_cost then begin
+          let sol = ref [] in
+          for j = n_cols - 1 downto 0 do
+            if chosen.(j) then sol := j :: !sol
+          done;
+          best_cost := cost;
+          best_solution := !sol
+        end
       end;
       (* stopping rules.  The incumbent test uses the integer gap; the
          δ test measures convergence of λ against the continuous

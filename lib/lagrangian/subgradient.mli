@@ -57,7 +57,10 @@ val run :
     each step is one {!Relax.primal} and one {!Relax.dual} pass over its
     preallocated buffers, the norms and the λ/μ updates are plain loops,
     and the best λ and c̃ (μ) are copied into arrays owned by the run
-    only when the lower (upper) bound improves.
+    only when the lower (upper) bound improves.  A relaxed optimum p*
+    that leaves no row violated covers every row; it is pruned with
+    {!Covering.Matrix.prune} in two buffers owned by the run and becomes
+    an incumbent list only when its pruned cost beats the incumbent.
     [budget] checkpoints every subgradient step (site
     {!Budget.Subgradient}, counted against the governor's step budget)
     and is also passed to the default dual-ascent seeding; a trip ends

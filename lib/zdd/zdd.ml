@@ -57,7 +57,7 @@ module Cache1 = Hashtbl.Make (Int)
    Config) and worker domains spawned afterwards initialise from the
    same values; per-domain managers re-read the GC threshold at every
    safe point, so a running domain picks up changes too. *)
-let default_initial_size = 65_536
+let default_initial_size = 4_096
 let default_gc_threshold = 262_144
 let cfg_initial_size = Atomic.make default_initial_size
 let cfg_gc_threshold = Atomic.make default_gc_threshold
@@ -119,12 +119,12 @@ let state_key : state Domain.DLS.key =
         unique = Unique.create (Atomic.get cfg_initial_size);
         next_tag = 2;
         peak = 0;
-        union_cache = Cache2.create 65_536;
-        inter_cache = Cache2.create 65_536;
-        diff_cache = Cache2.create 65_536;
-        product_cache = Cache2.create 65_536;
-        nosup_cache = Cache2.create 65_536;
-        nosub_cache = Cache2.create 65_536;
+        union_cache = Cache2.create 4_096;
+        inter_cache = Cache2.create 4_096;
+        diff_cache = Cache2.create 4_096;
+        product_cache = Cache2.create 4_096;
+        nosup_cache = Cache2.create 4_096;
+        nosub_cache = Cache2.create 4_096;
         minimal_cache = Cache1.create 4_096;
         maximal_cache = Cache1.create 4_096;
         count_cache = Cache1.create 4_096;

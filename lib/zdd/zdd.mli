@@ -164,7 +164,10 @@ val to_sets : t -> elt list list
     stale). *)
 
 val default_initial_size : int
-(** 65_536 — the out-of-the-box unique-table size. *)
+(** 4_096 — the out-of-the-box unique-table size; the operation caches
+    start at the same size.  Every table grows as [Hashtbl] does,
+    doubling when full, so a small start costs a few resizes on large
+    implicit phases and keeps a fresh manager cheap to create. *)
 
 val default_gc_threshold : int
 (** 262_144 — the out-of-the-box allocation budget between automatic
@@ -175,7 +178,7 @@ val configure :
 (** Engine-wide tunables (shared atomics; worker domains spawned later
     inherit them, and running managers re-read [gc_threshold] at each
     safe point).  [initial_size] seeds new domains' unique tables
-    (default 65_536, clamped to ≥ 16).  [gc_threshold] is the number of
+    (default 4_096, clamped to ≥ 16).  [gc_threshold] is the number of
     fresh allocations between automatic {!Gc.maybe_collect} collections
     (default 262_144); [0] disables automatic collection entirely.
     [chain_reduction] toggles the chain-aware fast paths in {!product},

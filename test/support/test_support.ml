@@ -5,6 +5,35 @@ module Matrix = Covering.Matrix
 (* the pass engine the worklist reduction engine is tested against *)
 module Reduce_oracle = Reduce_oracle
 
+(* The sort-based pruning [Matrix.irredundant] replaced, kept as its
+   test oracle: sort the cover's columns by cost descending, ties by
+   index descending, on every call, then drop each redundant one in that
+   order. *)
+let irredundant_oracle m sol =
+  if not (Matrix.covers m sol) then invalid_arg "Matrix.irredundant: not a cover";
+  let sol = List.sort_uniq Int.compare sol in
+  let times_covered = Array.make (Matrix.n_rows m) 0 in
+  List.iter
+    (fun j -> Array.iter (fun i -> times_covered.(i) <- times_covered.(i) + 1) (Matrix.col m j))
+    sol;
+  let order = Array.of_list sol in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare (Matrix.cost m b) (Matrix.cost m a) in
+      if c <> 0 then c else Int.compare b a)
+    order;
+  let kept = Array.make (Matrix.n_cols m) false in
+  List.iter (fun j -> kept.(j) <- true) sol;
+  Array.iter
+    (fun j ->
+      let redundant = Array.for_all (fun i -> times_covered.(i) >= 2) (Matrix.col m j) in
+      if redundant then begin
+        kept.(j) <- false;
+        Array.iter (fun i -> times_covered.(i) <- times_covered.(i) - 1) (Matrix.col m j)
+      end)
+    order;
+  List.filter (fun j -> kept.(j)) sol
+
 (* A random feasible covering matrix: [n_rows] rows over [n_cols] columns,
    density roughly [density], every row non-empty by construction. *)
 let random_matrix rng ?(uniform = false) ~n_rows ~n_cols ~density () =

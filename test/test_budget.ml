@@ -167,6 +167,134 @@ let test_site_names_roundtrip () =
   Alcotest.(check bool) "junk name" true (Budget.site_of_string "frobnicate" = None)
 
 (* ------------------------------------------------------------------ *)
+(* charge: a batch booked at once is the batch ticked one by one       *)
+(* ------------------------------------------------------------------ *)
+
+(* One governor setup, built twice: once to charge the batch, once to
+   tick it.  [prefix] ticks before the batch can trip it (small limits)
+   or, with [fault_raise], leave it past its fault; absorbed [children]
+   can carry a count past its limit without a trip; the fake clock is
+   fixed either side of the deadline. *)
+type charge_case = {
+  inactive : bool;  (** [Budget.none] *)
+  steps : int option;
+  nodes : int option;
+  fault_after : int option;
+  fault_site : Budget.site option;
+  fault_raise : bool;
+  deadline_passed : bool option;  (** [None]: no timeout *)
+  check_every : int;
+  prefix : Budget.site list;
+  children : Budget.site list list;  (** forked, ticked, absorbed *)
+  interrupt : bool;
+  batch : (Budget.site * int) list;
+  after : Budget.site list;  (** the k further ticks *)
+}
+
+let print_charge_case c =
+  let site = Budget.string_of_site in
+  let opt f = function None -> "-" | Some x -> f x in
+  Printf.sprintf
+    "inactive %b steps %s nodes %s fault %s@%s raise %b deadline %s every %d \
+     prefix [%s] children %d interrupt %b batch [%s] after [%s]"
+    c.inactive (opt string_of_int c.steps) (opt string_of_int c.nodes)
+    (opt string_of_int c.fault_after) (opt site c.fault_site) c.fault_raise
+    (opt string_of_bool c.deadline_passed) c.check_every
+    (String.concat " " (List.map site c.prefix))
+    (List.length c.children) c.interrupt
+    (String.concat " " (List.map (fun (s, k) -> Printf.sprintf "%s×%d" (site s) k) c.batch))
+    (String.concat " " (List.map site c.after))
+
+let arb_charge_case =
+  let open QCheck.Gen in
+  let site = oneofl Budget.all_sites and limit = opt (int_range 1 40) in
+  let gen =
+    let* inactive = frequency [ (1, return true); (9, return false) ] in
+    let* steps = limit and* nodes = limit and* fault_after = limit in
+    let* fault_site = opt site and* fault_raise = frequency [ (1, return true); (4, return false) ] in
+    let* deadline_passed = opt bool and* check_every = int_range 1 8 in
+    let* prefix = list_size (int_range 0 30) site in
+    let* children = list_size (int_range 0 2) (list_size (int_range 0 25) site) in
+    let* interrupt = frequency [ (1, return true); (6, return false) ] in
+    let* batch = list_size (int_range 0 4) (pair site (int_range 0 25)) in
+    let+ after = list_size (int_range 0 30) site in
+    {
+      inactive; steps; nodes; fault_after; fault_site; fault_raise; deadline_passed;
+      check_every; prefix; children; interrupt; batch; after;
+    }
+  in
+  QCheck.make ~print:print_charge_case gen
+
+(* a tick's observable outcome: stop or go, or the injected crash *)
+let tick_outcome b site =
+  match Budget.tick b site with
+  | stop -> Ok stop
+  | exception Budget.Injected_fault { site; tick } -> Error (site, tick)
+
+let stops = function Ok stop -> stop | Error _ -> true
+
+let governor c =
+  if c.inactive then Budget.none
+  else begin
+    let clock = ref 0. in
+    let timeout = Option.map (fun _ -> 10.) c.deadline_passed in
+    let b =
+      Budget.create ?timeout ?steps:c.steps ?nodes:c.nodes ?fault_after:c.fault_after
+        ?fault_site:c.fault_site ~fault_raise:c.fault_raise
+        ~now:(fun () -> !clock) ~check_every:c.check_every ()
+    in
+    clock := (if c.deadline_passed = Some true then 11. else 5.);
+    List.iter (fun s -> ignore (tick_outcome b s)) c.prefix;
+    List.iter
+      (fun ticks ->
+        let child = Budget.fork b in
+        List.iter (fun s -> ignore (tick_outcome child s)) ticks;
+        Budget.absorb b child)
+      c.children;
+    if c.interrupt then Budget.interrupt b;
+    b
+  end
+
+let prop_charge_is_ticking =
+  QCheck.Test.make ~name:"charge = the batch ticked one by one" ~count:2000
+    arb_charge_case (fun c ->
+      let charged = governor c and ticked = governor c and untouched = governor c in
+      let accepted = Budget.charge charged c.batch in
+      let stopped =
+        List.exists
+          (fun (site, k) -> List.exists stops (List.init k (fun _ -> tick_outcome ticked site)))
+          c.batch
+      in
+      (* the k further ticks tell the governors' states apart: every
+         count decides where a later tick trips *)
+      let state b = (Budget.ticks b, Option.map Budget.describe (Budget.tripped b)) in
+      let further b = List.map (tick_outcome b) c.after in
+      let same b b' = state b = state b' && further b = further b' && state b = state b' in
+      if accepted then (not stopped) && same charged ticked
+      else stopped && same charged untouched)
+
+let test_charge_edges () =
+  let batch = [ (Budget.Dual_ascent, 3); (Budget.Subgradient, 5) ] in
+  Alcotest.(check bool) "none accepts" true (Budget.charge Budget.none batch);
+  Alcotest.(check int) "none stays at 0" 0 (Budget.ticks Budget.none);
+  let b = Budget.create ~steps:8 () in
+  Alcotest.(check bool) "exactly the budget" true (Budget.charge b batch);
+  Alcotest.(check int) "booked" 8 (Budget.ticks b);
+  Alcotest.(check bool) "one step over" false (Budget.charge b [ (Budget.Subgradient, 1) ]);
+  Alcotest.(check bool) "node ticks are not steps" true
+    (Budget.charge b [ (Budget.Exact_bb, 4) ]);
+  Alcotest.(check bool) "empty batch" true (Budget.charge b []);
+  Alcotest.(check bool) "next step trips" true (Budget.tick b Budget.Subgradient);
+  Alcotest.(check bool) "tripped refuses" false (Budget.charge b [ (Budget.Parse, 1) ]);
+  let i = Budget.create () in
+  Budget.interrupt i;
+  Alcotest.(check bool) "interrupted refuses" false (Budget.charge i batch);
+  Alcotest.(check int) "nothing booked" 0 (Budget.ticks i);
+  match Budget.charge (Budget.create ()) [ (Budget.Subgradient, -1) ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative count accepted"
+
+(* ------------------------------------------------------------------ *)
 (* fault-injection sweeps through Scg.solve                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -443,6 +571,8 @@ let () =
           Alcotest.test_case "interrupt none no-op" `Quick test_interrupt_none_noop;
           Alcotest.test_case "fault raise" `Quick test_fault_raise;
           Alcotest.test_case "site names" `Quick test_site_names_roundtrip;
+          Alcotest.test_case "charge edges" `Quick test_charge_edges;
+          QCheck_alcotest.to_alcotest prop_charge_is_ticking;
         ] );
       ( "scg",
         [

@@ -89,6 +89,69 @@ let test_matrix_density () =
   let empty = Matrix.create ~n_cols:4 [] in
   Alcotest.(check (float 0.)) "empty density" 0. (Matrix.density empty)
 
+(* The pruning against its sort-based original (Test_support), on
+   random matrices (a third with uniform costs, where the index
+   tie-break decides) and random column lists with duplicates: the same
+   list for a cover, the same exception for a non-cover and for an
+   out-of-range column — and [prune] on the cover's mask keeps the same
+   columns at the same cost. *)
+let prop_irredundant_matches_oracle =
+  QCheck.Test.make ~name:"irredundant and prune = sort-based oracle" ~count:400
+    (QCheck.pair TS.arb_seed TS.arb_seed) (fun (seed, cseed) ->
+      let uniform = seed mod 3 = 0 in
+      let m =
+        if seed mod 2 = 0 then TS.small_matrix_of_seed ~uniform seed
+        else TS.medium_matrix_of_seed ~uniform seed
+      in
+      let rng = Random.State.make [| cseed |] in
+      let n = Matrix.n_cols m in
+      let picks =
+        List.init (Random.State.int rng (2 * n)) (fun _ -> Random.State.int rng n)
+      in
+      (* complete the picks to a cover with a random column of every row
+         they miss, then shuffle in a few duplicates *)
+      let cover =
+        picks
+        @ List.map
+            (fun i ->
+              let row = Matrix.row m i in
+              row.(Random.State.int rng (Array.length row)))
+            (Matrix.uncovered m picks)
+      in
+      let cover = List.filter (fun _ -> Random.State.int rng 4 = 0) cover @ cover in
+      let bad = if Random.State.bool rng then n + Random.State.int rng 3 else -1 in
+      let out_of_range =
+        List.filteri (fun k _ -> k mod 2 = 0) cover @ (bad :: cover)
+      in
+      let outcome f l =
+        match f m l with r -> Ok r | exception Invalid_argument msg -> Error msg
+      in
+      let same l = outcome Matrix.irredundant l = outcome TS.irredundant_oracle l in
+      let pruned =
+        let chosen = Array.make n false in
+        List.iter (fun j -> chosen.(j) <- true) cover;
+        let cost = Matrix.prune m ~chosen ~times:(Array.make (Matrix.n_rows m) 0) in
+        (List.filter (fun j -> chosen.(j)) (List.init n Fun.id), cost)
+      in
+      let expected = TS.irredundant_oracle m cover in
+      same picks && same cover && same out_of_range
+      && Result.is_error (outcome Matrix.irredundant out_of_range)
+      && pruned = (expected, Matrix.cost_of m expected))
+
+(* the ascent prunes in buffers it owns: once the drop order is sorted,
+   a prune allocates nothing *)
+let test_prune_allocates_nothing () =
+  let m = TS.medium_matrix_of_seed 5 in
+  let chosen = Array.make (Matrix.n_cols m) true in
+  let times = Array.make (Matrix.n_rows m) 0 in
+  ignore (Matrix.prune m ~chosen ~times);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Array.fill chosen 0 (Matrix.n_cols m) true;
+    ignore (Matrix.prune m ~chosen ~times)
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0)
+
 let test_irredundant_rejects_non_cover () =
   let m = m_abc () in
   match Matrix.irredundant m [ 0 ] with
@@ -319,6 +382,19 @@ let prop_exact_with_extra_bound_agrees =
       let plain = Exact.solve m in
       let strong = Exact.solve ~extra_bound:(Bounds.strengthened_mis ~extra_rows:3) m in
       strong.Exact.optimal && strong.Exact.cost = plain.Exact.cost)
+
+(* The strengthened bound once fed the limit-bound filter too: on this
+   5 × 8 matrix it discarded a column of every optimum and returned cost
+   8 flagged optimal, against an optimum of 7. *)
+let test_exact_extra_bound_seed_933890 () =
+  let m = TS.small_matrix_of_seed 933890 in
+  Alcotest.(check int) "5 rows" 5 (Matrix.n_rows m);
+  Alcotest.(check int) "8 columns" 8 (Matrix.n_cols m);
+  Alcotest.(check int) "brute force" 7 (Matrix.cost_of m (Exact.brute_force m));
+  Alcotest.(check int) "plain" 7 (Exact.solve m).Exact.cost;
+  let strong = Exact.solve ~extra_bound:(Bounds.strengthened_mis ~extra_rows:3) m in
+  Alcotest.(check int) "strengthened" 7 strong.Exact.cost;
+  check "optimal" true strong.Exact.optimal
 
 (* ------------------------------------------------------------------ *)
 (* Exact                                                              *)
@@ -741,6 +817,8 @@ let () =
           Alcotest.test_case "infeasible submatrix" `Quick test_matrix_submatrix_infeasible;
           Alcotest.test_case "density" `Quick test_matrix_density;
           Alcotest.test_case "irredundant guard" `Quick test_irredundant_rejects_non_cover;
+          QCheck_alcotest.to_alcotest prop_irredundant_matches_oracle;
+          Alcotest.test_case "prune allocates nothing" `Quick test_prune_allocates_nothing;
         ] );
       ( "reduce",
         [
@@ -771,6 +849,8 @@ let () =
           Alcotest.test_case "row induced extremes" `Quick test_row_induced_full_is_optimum;
           Alcotest.test_case "c5 strengthened" `Quick test_strengthened_beats_mis_on_c5;
           QCheck_alcotest.to_alcotest prop_exact_with_extra_bound_agrees;
+          Alcotest.test_case "strengthened bound, seed 933890" `Quick
+            test_exact_extra_bound_seed_933890;
         ] );
       ( "exact",
         [

@@ -571,6 +571,23 @@ let prop_heap_greedy_uniform_ties =
       heap_matches_scan m ~costs:uniform
       && heap_matches_scan m ~costs:(L.Relax.lagrangian_costs m flat))
 
+(* [Subgradient.run] keeps a relaxed optimum p* as a cover whenever the
+   primal kernel reports no violated row, without asking
+   [Matrix.covers]: no s_i = 1 − |row_i ∩ p*| above 0 must mean p*
+   covers.  λ is scaled up on some draws so that every row is often
+   covered. *)
+let prop_no_violated_row_means_cover =
+  QCheck.Test.make ~name:"n_violated = 0 implies p* covers" ~count:300 TS.arb_seed
+    (fun seed ->
+      let m = family_matrix seed in
+      let rng = Random.State.make [| seed |] in
+      let scale = float_of_int (1 + Random.State.int rng 4) in
+      let lambda = Array.map (fun l -> scale *. l) (random_lambda rng m) in
+      let ws = L.Relax.workspace m in
+      L.Relax.primal ws lambda;
+      let p_star = List.filter (fun j -> ws.L.Relax.p_star.(j)) (List.init (Matrix.n_cols m) Fun.id) in
+      ws.L.Relax.n_violated <> 0 || Matrix.covers m p_star)
+
 (* the per-step kernels allocate nothing once the workspace exists: not
    even z_LP or w_LD are boxed *)
 let test_kernels_allocate_nothing () =
@@ -621,6 +638,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernels_match_definitions;
           QCheck_alcotest.to_alcotest prop_heap_greedy_is_scan;
           QCheck_alcotest.to_alcotest prop_heap_greedy_uniform_ties;
+          QCheck_alcotest.to_alcotest prop_no_violated_row_means_cover;
           Alcotest.test_case "no allocation" `Quick test_kernels_allocate_nothing;
         ] );
       ("lag greedy", [ QCheck_alcotest.to_alcotest prop_lag_greedy_feasible ]);

@@ -132,6 +132,33 @@ let test_warm_mu0 () =
   in
   check "miss zero-fills" true (mu0 w m3 = Some [| 0.25; 0.75; 0. |])
 
+(* Each component keeps its last cold root.  A solve handed a warm pair,
+   as the daemon passes one, starts later roots warm and reuses none; a
+   solve without one reuses roots, and the governor is charged for every
+   reused step, so a step budget still caps the steps a solve reports. *)
+let reused_steps ?budget ?warm m =
+  let t = Scg.Telemetry.create () in
+  let r = Scg.solve ?budget ~telemetry:t ?warm m in
+  (r, Scg.Telemetry.counter t "subgradient.reused_steps")
+
+let test_root_memo () =
+  let m = Benchsuite.Registry.matrix (Benchsuite.Registry.find "bench1") in
+  let _, cold = reused_steps m in
+  check "a cold solve reuses roots" true (cold > 0);
+  let _, warm = reused_steps ~warm:(Scg.Warm.create (), Scg.Warm.create ()) m in
+  Alcotest.(check int) "a warm pair reuses none" 0 warm;
+  (* t1's roots take about 375 steps: under these caps some are reused
+     before the budget trips *)
+  let t1 = Benchsuite.Registry.matrix (Benchsuite.Registry.find "t1") in
+  List.iter
+    (fun cap ->
+      let r, reused = reused_steps ~budget:(Scg.Budget.create ~steps:cap ()) t1 in
+      let ctx = Printf.sprintf "%d-step budget: %s" cap in
+      check (ctx "roots reused") true (reused > 0);
+      check (ctx "tripped") true (r.Scg.stats.Scg.Stats.budget_trip <> None);
+      check (ctx "steps within it") true (r.Scg.stats.Scg.Stats.subgradient_steps <= cap))
+    [ 2000; 2500 ]
+
 let test_scg_partitioned_core () =
   (* two disjoint odd cycles: componentwise bounds compose — each block
      proves ceil(2.5) = 3, so the total 6 is proven even though the joint
@@ -263,6 +290,7 @@ let () =
             test_best_iteration_bounded;
           Alcotest.test_case "warm lambda0" `Quick test_warm_lambda0;
           Alcotest.test_case "warm mu0" `Quick test_warm_mu0;
+          Alcotest.test_case "root memo" `Quick test_root_memo;
           Alcotest.test_case "partitioned core" `Quick test_scg_partitioned_core;
           Alcotest.test_case "deterministic" `Quick test_scg_deterministic;
           Alcotest.test_case "medium vs exact" `Slow test_scg_medium_vs_exact;

@@ -6,7 +6,9 @@
    With `--validate FILE` it instead checks an existing trace file (the
    runtest rule uses this on a trace produced by the ucp_solve CLI), so
    the schema checked here is the schema the shipped binary emits; each
-   `--require-span NAME` after it also demands a span of that name. *)
+   `--require-span NAME` after it also demands a span of that name.
+   `--validate-stats FILE` checks a --stats-json file the same way, and
+   each `--require-counter NAME` after it demands a positive counter. *)
 
 module Telemetry = Scg.Telemetry
 module Json = Telemetry.Json
@@ -179,8 +181,9 @@ let validate_file ~require path =
   Format.printf "trace_smoke: %s ok (%d records)@." path n
 
 (* --stats-json output: one object with solver fields and the aggregated
-   telemetry summary *)
-let validate_stats path =
+   telemetry summary; each [require]d counter must be present and
+   positive *)
+let validate_stats ~require path =
   let ic = open_in path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -195,7 +198,17 @@ let validate_stats path =
         (fun f ->
           if Json.member f tel = None then
             fail "%s: stats telemetry lacks %S" path f)
-        [ "elapsed"; "spans"; "counters" ]);
+        [ "elapsed"; "spans"; "counters" ];
+      List.iter
+        (fun name ->
+          match
+            Option.bind (Json.member "counters" tel) (fun c ->
+                Option.bind (Json.member name c) Json.to_float)
+          with
+          | Some v when v > 0. -> ()
+          | Some v -> fail "%s: counter %S is %g, not positive" path name v
+          | None -> fail "%s: no %S counter" path name)
+        require);
     Format.printf "trace_smoke: %s ok (stats)@." path
 
 (* --validate-access: the daemon's request log is JSON lines, one object
@@ -277,11 +290,24 @@ let run_suite () =
       let r = Scg.solve ~telemetry:t m in
       Telemetry.close t;
       let n, _ = validate_lines ~source:name (List.rev !lines) in
-      (* cross-check the stream against the solver's own accounting *)
-      if
-        Telemetry.counter t "subgradient.steps"
-        <> r.Scg.stats.Scg.Stats.subgradient_steps
-      then fail "%s: telemetry step count disagrees with Stats" name;
+      (* cross-check the stream against the solver's own accounting: a
+         reused root counts its steps but writes no step records *)
+      let steps = Telemetry.counter t "subgradient.steps" in
+      if steps <> r.Scg.stats.Scg.Stats.subgradient_steps then
+        fail "%s: telemetry step count disagrees with Stats" name;
+      let step_records =
+        List.length
+          (List.filter
+             (fun (_, l) ->
+               match Json.of_string l with
+               | Ok r -> Json.member "ev" r = Some (Json.String "step")
+               | Error _ -> false)
+             !lines)
+      in
+      let reused = Telemetry.counter t "subgradient.reused_steps" in
+      if step_records <> steps - reused then
+        fail "%s: %d step records for %d steps, %d of them reused" name
+          step_records steps reused;
       if not (Covering.Matrix.covers m r.Scg.solution) then
         fail "%s: solution does not cover" name;
       Format.printf "trace_smoke: %-10s ok (%d records, cost %d)@." name n r.Scg.cost)
@@ -290,19 +316,21 @@ let run_suite () =
 let usage () =
   prerr_endline
     "usage: trace_smoke [--validate FILE [--require-span NAME]... | \
-     --validate-stats FILE | --validate-access FILE]";
+     --validate-stats FILE [--require-counter NAME]... | --validate-access FILE]";
   exit 2
+
+(* the names after each [flag] *)
+let rec required flag = function
+  | [] -> []
+  | f :: name :: rest when f = flag -> name :: required flag rest
+  | _ -> usage ()
 
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] -> run_suite ()
   | _ :: "--validate" :: path :: rest ->
-    let rec required = function
-      | [] -> []
-      | "--require-span" :: name :: rest -> name :: required rest
-      | _ -> usage ()
-    in
-    validate_file ~require:(required rest) path
-  | [ _; "--validate-stats"; path ] -> validate_stats path
+    validate_file ~require:(required "--require-span" rest) path
+  | _ :: "--validate-stats" :: path :: rest ->
+    validate_stats ~require:(required "--require-counter" rest) path
   | [ _; "--validate-access"; path ] -> validate_access path
   | _ -> usage ()
