@@ -6,7 +6,9 @@
 type t = {
   max_rows_implicit : int;
       (** [MaxR]: stop implicit reductions once at most this many rows
-          remain (paper: 5000). *)
+          remain (paper: 5000).  An input within both guards never
+          enters the implicit phase; the explicit phase gets its rows in
+          ZDD decode order instead ({!Scg.solve}). *)
   max_cols_implicit : int;
       (** [MaxC]: the companion column guard (paper: 10000). *)
   num_iter : int;

@@ -331,7 +331,7 @@ type comp_result = {
 }
 
 let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
-    ?zdd_universe ?(config = Config.default) input =
+    ?(config = Config.default) input =
   for j = 0 to Matrix.n_cols input - 1 do
     if Matrix.col_id input j <> j then invalid_arg "Scg.solve: matrix already re-indexed"
   done;
@@ -350,36 +350,23 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
   (* all timings on the governor's wall clock, so [stats.total_seconds]
      is consistent with a tripped [--timeout] *)
   let t_start = Budget.Clock.now () in
-  (* ---- implicit phase ---- *)
-  (* when the raised MaxR/MaxC guards already admit the whole input,
-     [Implicit.reduce] would return it untouched, so even building the
-     row ZDD is pure overhead (it dominates the solve on 10^5-row
-     instances).  The skip is opt-in: decode canonicalises row order, so
-     inputs within the paper's *default* guards keep the historical path
-     bit-for-bit. *)
-  let skip_implicit =
-    let within ~max_rows ~max_cols =
-      Matrix.n_rows input <= max_rows && Matrix.n_cols input <= max_cols
-    in
-    zdd_universe = None
-    && within ~max_rows:config.max_rows_implicit
-         ~max_cols:config.max_cols_implicit
-    && not
-         (within ~max_rows:Config.default.max_rows_implicit
-            ~max_cols:Config.default.max_cols_implicit)
-  in
-  let imp =
-    if skip_implicit then None
+  (* ---- implicit phase (Figure 2) ---- *)
+  (* the ZDD reductions run only above the MaxR/MaxC guards.  An input
+     within them would come back from [Implicit.reduce] untouched, so it
+     skips the row ZDD and goes straight to the explicit phase, its rows
+     sorted into the order decoding that ZDD would give them: the
+     explicit phase sees the very matrix the round trip would hand it *)
+  let decoded, essential0 =
+    if
+      Matrix.n_rows input <= config.max_rows_implicit
+      && Matrix.n_cols input <= config.max_cols_implicit
+    then (Matrix.canonical input, [])
     else
-      Some
+      Implicit.decode
         (Telemetry.span telemetry "implicit-reduce" (fun () ->
              Implicit.reduce ~budget ~telemetry
                ~max_rows:config.max_rows_implicit
-               ~max_cols:config.max_cols_implicit
-               (Implicit.of_matrix ?rows:zdd_universe input)))
-  in
-  let decoded, essential0 =
-    match imp with Some imp -> Implicit.decode imp | None -> (input, [])
+               ~max_cols:config.max_cols_implicit (Implicit.of_matrix input)))
   in
   let essential0_cost =
     List.fold_left (fun acc j -> acc + Matrix.cost input j) 0 essential0
@@ -403,10 +390,7 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
       {
         Stats.input_rows = Matrix.n_rows input;
         input_cols = Matrix.n_cols input;
-        implicit_rows_left =
-          (match imp with
-          | Some imp -> Implicit.row_count imp
-          | None -> float_of_int (Matrix.n_rows input));
+        implicit_rows_left = float_of_int (Matrix.n_rows decoded);
         core_rows = Matrix.n_rows core;
         core_cols = Matrix.n_cols core;
         essential_count = List.length essential0 + List.length (Reduce.lift red.Reduce.trace []);

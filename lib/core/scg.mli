@@ -3,9 +3,10 @@
     A greedy constructive heuristic for unate covering built from the
     pieces in [Covering] and [Lagrangian]:
 
-    + encode the problem implicitly and run the ZDD reductions until the
-      cyclic core is reached or the matrix is small ([MaxR]);
-    + decode, run the explicit reductions (dominance, essentials, Gimpel);
+    + above the [MaxR]/[MaxC] guards, encode the problem implicitly and
+      run the ZDD reductions until the cyclic core is reached or the
+      matrix is within the guards, then decode;
+    + run the explicit reductions (dominance, essentials, Gimpel);
     + subgradient ascent on the Lagrangian dual gives multipliers λ, μ, a
       lower bound and heuristic covers; if the incumbent matches ⌈LB⌉ the
       solution is proven optimal and the algorithm stops;
@@ -75,7 +76,6 @@ val solve :
   ?telemetry:Telemetry.t ->
   ?pool:Par.Pool.t ->
   ?warm:Warm.t * Warm.t ->
-  ?zdd_universe:Zdd.t ->
   ?config:Config.t ->
   Covering.Matrix.t ->
   result
@@ -110,11 +110,12 @@ val solve :
     counters ["warm.lambda0_hit"]/["warm.lambda0_miss"] record how often
     a subproblem found a usable λ₀.
 
-    [zdd_universe], when given, must be this very matrix's rows-family
-    (e.g. a warm universe checked out of the serve cache by request
-    digest, built on the calling domain): the implicit phase starts from
-    it instead of re-encoding the matrix with [Matrix.to_zdd].  The
-    solve also applies [config]'s ZDD manager tunables
+    The implicit phase runs only above [config]'s MaxR/MaxC guards
+    ([max_rows_implicit], [max_cols_implicit]), as in the paper's
+    Figure 2.  An input within them builds no ZDD: its rows go to the
+    explicit phase sorted by {!Covering.Matrix.canonical}, the order
+    decoding their ZDD would give, so the answer is the one the round
+    trip would give.  The solve applies [config]'s ZDD manager tunables
     ([zdd_initial_size] / [zdd_gc_threshold] / [zdd_chain_reduction])
     via [Zdd.configure] before the implicit phase.
 

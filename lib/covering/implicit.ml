@@ -5,36 +5,19 @@ type t = {
   essential : int list;
 }
 
-let of_matrix ?rows m =
+let of_matrix m =
   (* the implicit phase runs before any reduction, so identifiers must
      still equal indices: otherwise decoded solutions would be ambiguous *)
   for j = 0 to Matrix.n_cols m - 1 do
     if Matrix.col_id m j <> j then
       invalid_arg "Implicit.of_matrix: matrix already re-indexed"
   done;
-  (* [rows], when given, is a pre-built universe for this same matrix (the
-     serve cache checks one out by request digest) — skip the rebuild *)
-  let rows = match rows with Some z -> z | None -> Matrix.to_zdd m in
   {
-    rows;
+    rows = Matrix.to_zdd m;
     n_cols = Matrix.n_cols m;
     cost = Array.init (Matrix.n_cols m) (Matrix.cost m);
     essential = [];
   }
-
-let of_rows ~n_cols ?cost rows =
-  let cost =
-    match cost with
-    | Some c ->
-      if Array.length c <> n_cols then invalid_arg "Implicit.of_rows: cost length mismatch";
-      Array.copy c
-    | None -> Array.make n_cols 1
-  in
-  List.iter
-    (fun v -> if v >= n_cols then invalid_arg "Implicit.of_rows: column out of range")
-    (Zdd.support rows);
-  if Zdd.contains_empty_set rows then invalid_arg "Implicit.of_rows: empty row";
-  { rows; n_cols; cost; essential = [] }
 
 let row_count t = Zdd.count t.rows
 let is_solved t = Zdd.is_empty t.rows
@@ -77,8 +60,7 @@ let reduce ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?(max_rows = 50
      partially reduced family is returned — still the same covering
      problem, just less reduced, so decoding stays sound.  It is also a
      GC safe point: no ZDD operation is in flight between steps, so the
-     only family that must survive a collection is [t.rows] (registered
-     roots, e.g. a cached universe, are pinned by the manager itself). *)
+     only family that must survive a collection is [t.rows]. *)
   let rec go t =
     ignore (Zdd.Gc.maybe_collect ~roots:[ t.rows ] ());
     if is_solved t || small t then t
@@ -91,20 +73,7 @@ let reduce ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?(max_rows = 50
         | Some t' -> go t'
         | None -> t)
   in
-  (* always run at least one full fixpoint even when already small: cheap,
-     and it guarantees decoded cores saw essentiality at least once *)
-  let rec fixpoint t =
-    ignore (Zdd.Gc.maybe_collect ~roots:[ t.rows ] ());
-    if Budget.tick budget Budget.Implicit_reduce then t
-    else
-      match essential_step t with
-      | Some t' -> fixpoint t'
-      | None -> (
-        match dominance_step t with
-        | Some t' -> fixpoint t'
-        | None -> t)
-  in
-  let t' = if small t then fixpoint t else go t in
+  let t' = go t in
   (* the unique table only grows, so the delta is this reduction's
      allocation (shared subgraphs included once) *)
   Telemetry.add telemetry "implicit.zdd_nodes_allocated"

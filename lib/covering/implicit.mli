@@ -22,19 +22,14 @@ type t = {
   essential : int list;  (** column indices fixed so far, oldest first *)
 }
 
-val of_matrix : ?rows:Zdd.t -> Matrix.t -> t
+val of_matrix : Matrix.t -> t
 (** Encode an explicit matrix.  The matrix must carry fresh identifiers
     (identifiers = indices), which holds for matrices straight out of
     {!Matrix.create}.  The rows family is built by {!Matrix.to_zdd} in
     one bottom-up pass over the lexicographically sorted rows: the cost
     is the sort plus one unique-table lookup per distinct row prefix,
     the unique table gains exactly [Zdd.size] of the result and no
-    garbage, and no collection runs.  [rows], when given, must be the
-    universe family of this very matrix (e.g. checked out of the serve
-    cache by request digest) and skips the rebuild. *)
-
-val of_rows : n_cols:int -> ?cost:int array -> Zdd.t -> t
-(** Wrap a rows-family directly (cost defaults to uniform 1). *)
+    garbage, and no collection runs. *)
 
 val row_count : t -> float
 val is_solved : t -> bool
@@ -48,10 +43,12 @@ val dominance_step : t -> t option
 
 val reduce :
   ?budget:Budget.t -> ?telemetry:Telemetry.t -> ?max_rows:int -> ?max_cols:int -> t -> t
-(** Iterate essential/dominance steps until both are exhausted or the
-    matrix is small enough — the loop guard of Figure 2: at most
-    [max_rows] rows (paper [MaxR] = 5000) {e and} [max_cols] live columns
-    (paper [MaxC] = 10000).  Every step is a {!Budget.tick} checkpoint
+(** Iterate essential/dominance steps while the matrix is above the
+    guards — the loop of Figure 2: it stops once at most [max_rows] rows
+    (paper [MaxR] = 5000) {e and} at most [max_cols] live columns (paper
+    [MaxC] = 10000) remain, or when both steps are exhausted.  A family
+    already within the guards comes back untouched, with no step run
+    and no tick spent.  Every step is a {!Budget.tick} checkpoint
     (site {!Budget.Implicit_reduce}); on a trip the current, partially
     reduced problem is returned — equivalent to the input, merely less
     reduced.  [telemetry] counts [implicit.essential_steps],

@@ -94,6 +94,40 @@ let of_sets ?cost ~n_cols zdd =
 
 let to_zdd m = Zdd.of_arrays m.rows
 
+(* The order [of_sets] decodes a rows family in: [Zdd.to_sets] takes a
+   node's hi branch (sets with its element) before its lo branch (sets
+   with larger elements only), and the empty suffix ends a lo chain.  So
+   rows compare element by element, the smaller element first, and a
+   proper prefix sorts after its extensions. *)
+let compare_decoded (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la then if i = lb then 0 else 1
+    else if i = lb then -1
+    else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+    else go (i + 1)
+  in
+  go 0
+
+let canonical m =
+  let sorted = Array.copy m.rows in
+  Array.sort compare_decoded sorted;
+  let n = Array.length sorted in
+  if n > 0 && Array.length sorted.(n - 1) = 0 then
+    invalid_arg "Matrix.canonical: empty row";
+  let rows =
+    Array.fold_right
+      (fun r acc ->
+        match acc with
+        | r' :: _ when compare_decoded r r' = 0 -> acc
+        | _ -> r :: acc)
+      sorted []
+    |> Array.of_list
+  in
+  of_parts ~n_cols:m.n_cols ~rows ~cost:m.cost
+    ~row_ids:(Array.init (Array.length rows) Fun.id)
+    ~col_ids:m.col_ids
+
 let n_rows m = m.n_rows
 let n_cols m = m.n_cols
 let row m i = m.rows.(i)

@@ -42,6 +42,16 @@ val to_zdd : t -> Zdd.t
     in one bottom-up pass ({!Zdd.of_arrays}): the unique table gains
     exactly the result's nodes. *)
 
+val canonical : t -> t
+(** The rows in the order decoding their ZDD gives them, without
+    building it: rows compare element by element, the smaller element
+    first, and a proper prefix sorts after its extensions; duplicate
+    rows are merged and the rows get fresh identifiers [0 .. n-1].
+    Columns, their identifiers and costs are unchanged.  On a matrix
+    with fresh column identifiers the result equals
+    [of_sets ~cost ~n_cols (to_zdd m)].
+    @raise Invalid_argument on an empty row, as {!of_sets} does. *)
+
 val submatrix : t -> keep_rows:bool array -> keep_cols:bool array -> t
 (** Restriction, preserving identifiers.  Rows that lose all their columns
     are dropped silently only if not kept; a kept row left without columns

@@ -9,10 +9,6 @@ type entry = {
   mutable warm : (Scg.Warm.t * Scg.Warm.t) option;
   mutable hits : int;
   mutable last_used : int;
-  (* warm ZDD universe for this signature, pinned in its owning worker
-     domain's manager via the root handle; released on eviction or
-     invalidation so the worker's next collection reclaims the nodes *)
-  mutable universe : Zdd.Root.handle option;
 }
 
 type t = {
@@ -68,10 +64,6 @@ let touch t entry =
   t.clock <- t.clock + 1;
   entry.last_used <- t.clock
 
-let release_universe (entry : entry) =
-  Option.iter Zdd.Root.release entry.universe;
-  entry.universe <- None
-
 (* LRU among the entries whose warm pair is checked in.  [warm = None]
    means some request holds the pair right now (including a freshly
    installed entry before its first check-in): evicting it would strand
@@ -91,9 +83,6 @@ let evict_one t =
     match !victim with
     | None -> ()
     | Some (k, _) ->
-      (match Hashtbl.find_opt t.table k with
-      | Some e -> release_universe e
-      | None -> ());
       Hashtbl.remove t.table k;
       t.evictions <- t.evictions + 1
   end
@@ -130,9 +119,7 @@ let checkout t ~digest ~parse =
             Ok { problem = entry.problem; warm = take_warm entry; hit = true }
           | None ->
             evict_one t;
-            let entry =
-              { problem; warm = None; hits = 0; last_used = 0; universe = None }
-            in
+            let entry = { problem; warm = None; hits = 0; last_used = 0 } in
             touch t entry;
             Hashtbl.replace t.table digest entry;
             Ok { problem; warm = Some warm; hit = false }))
@@ -143,31 +130,10 @@ let checkin t ~digest pair =
       | Some entry when entry.warm = None -> entry.warm <- Some pair
       | Some _ | None -> ())
 
-let store_universe t ~digest handle =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table digest with
-      | Some entry ->
-        release_universe entry;
-        entry.universe <- Some handle
-      | None ->
-        (* entry evicted/invalidated while the solve ran: nothing can
-           hold the pin any more, release it so the nodes die *)
-        Zdd.Root.release handle)
-
-let checkout_universe t ~digest =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table digest with
-      | Some { universe = Some handle; _ } ->
-        (* Root.get refuses cross-domain and released handles, so a
-           worker other than the builder simply rebuilds *)
-        Zdd.Root.get handle
-      | Some _ | None -> None)
-
 let invalidate t ~digest =
   locked t (fun () ->
       match Hashtbl.find_opt t.table digest with
-      | Some entry ->
-        release_universe entry;
+      | Some _ ->
         Hashtbl.remove t.table digest;
         t.invalidations <- t.invalidations + 1
       | None -> ())

@@ -58,23 +58,9 @@ val checkin : t -> digest:string -> Scg.Warm.t * Scg.Warm.t -> unit
 (** Return a multiplier pair after a successful solve.  Dropped silently
     if the entry was invalidated or refilled meanwhile. *)
 
-val store_universe : t -> digest:string -> Zdd.Root.handle -> unit
-(** Attach a warm ZDD universe (the matrix's rows-family, registered as
-    a {!Zdd.Root} on the worker domain that built it) to the signature.
-    Replaces — and releases — any previous handle.  If the entry was
-    evicted or invalidated while the solve ran, the incoming handle is
-    released immediately: the pin must not outlive the entry. *)
-
-val checkout_universe : t -> digest:string -> Zdd.t option
-(** The signature's pinned universe, if one is stored, still alive, and
-    owned by the calling domain ({!Zdd.Root.get} refuses cross-domain
-    handles — a different worker just rebuilds).  Unlike the warm pair
-    this is not exclusive: the family is immutable and the handle stays
-    in place. *)
-
 val invalidate : t -> digest:string -> unit
-(** Drop one signature's entry and release its universe pin, so the
-    owning worker's next collection reclaims the nodes. *)
+(** Drop one signature's entry: its parsed problem and its multiplier
+    pair. *)
 
 val stats : t -> (string * int) list
 (** [hits], [misses], [entries], [invalidations], [evictions] — fed

@@ -427,29 +427,13 @@ let kiss_response (r : Fsm.Minimise.result) =
   in
   (code, headers, body)
 
-(* Solve a matrix problem with the signature's warm ZDD universe when
-   this worker built it on a previous request; otherwise build the
-   universe here, register it as a GC root and store the pinned handle
-   for the next request with the same digest. *)
-let solve_matrix t ~budget ~telemetry ~warm ~digest m =
-  let universe =
-    match Cache.checkout_universe t.cache ~digest with
-    | Some _ as u -> u
-    | None ->
-      let rows = Covering.Matrix.to_zdd m in
-      Cache.store_universe t.cache ~digest (Zdd.Root.create rows);
-      Some rows
-  in
-  Scg.solve ~budget ~telemetry ?warm ?zdd_universe:universe m
-
-let solve_problem t ~budget ~telemetry ~warm ~digest (req : Proto.request) =
+let solve_problem t ~budget ~telemetry ~warm (req : Proto.request) =
   function
   | Cache.P_matrix m ->
-    scg_response (solve_matrix t ~budget ~telemetry ~warm ~digest m)
+    scg_response (Scg.solve ~budget ~telemetry ?warm m)
   | Cache.P_multi (_, bridge) ->
     scg_response
-      (solve_matrix t ~budget ~telemetry ~warm ~digest
-         bridge.Covering.From_logic.mmatrix)
+      (Scg.solve ~budget ~telemetry ?warm bridge.Covering.From_logic.mmatrix)
   | Cache.P_kiss machine ->
     let max_nodes = clamp_opt t.cfg.max_nodes req.Proto.nodes in
     kiss_response (Fsm.Minimise.minimise ~budget ?max_nodes machine)
@@ -518,7 +502,7 @@ let handle_solve t ~slot ~trace ~queue_wait ~log fd (req : Proto.request) payloa
           Telemetry.merge server_tel tel;
           Option.iter flush t.trace_oc)
     in
-    match solve_problem t ~budget ~telemetry:tel ~warm ~digest req problem with
+    match solve_problem t ~budget ~telemetry:tel ~warm req problem with
     | code, headers, body ->
       let solve_s = Unix.gettimeofday () -. solve_t0 in
       finish ();

@@ -4,10 +4,11 @@
     Architecture (DESIGN.md §14): one acceptor thread multiplexes the
     listening socket against the drain flag; accepted connections enter
     a {e bounded} admission queue; [workers] long-lived worker domains
-    pop connections and run one request each.  Long-lived domains are
-    what keeps the per-domain hash-consed ZDD/BDD managers warm across
-    requests, and the {!Cache} keeps parsed problems, memoized PLA
-    primes and λ/μ multiplier memory warm per problem signature.
+    pop connections and run one request each.  The {!Cache} keeps
+    parsed problems, memoized PLA primes and λ/μ multiplier memory warm
+    per problem signature.  It pins no ZDD: a matrix within the implicit
+    phase's MaxR/MaxC guards builds none, and a larger one builds its
+    row family per request ({!Scg.solve}).
 
     Degradation ladder, in order of preference:
     + a full queue {e sheds} the connection — [OVERLOAD] plus a

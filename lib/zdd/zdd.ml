@@ -68,14 +68,6 @@ let configure ?initial_size ?gc_threshold ?chain_reduction () =
   Option.iter (fun n -> Atomic.set cfg_gc_threshold (max 0 n)) gc_threshold;
   Option.iter (fun b -> Atomic.set cfg_chain b) chain_reduction
 
-(* A registered root: pins [value] (and everything below it) across
-   collections on the domain that created it.  [released] is the only
-   field another domain may touch — releasing is a single atomic store,
-   and the owning domain drops the handle at its next collection, so
-   cross-domain invalidation (the serve cache) never mutates a foreign
-   manager. *)
-type root = { owner : int; value : t; released : bool Atomic.t }
-
 (* One manager per domain: unique table, tag allocator, peak meter, the
    operation caches and the collector's books.  Tags are domain-private
    (they only key this domain's tables), so independent domains reusing
@@ -94,7 +86,6 @@ type state = {
   maximal_cache : t Cache1.t;
   count_cache : float Cache1.t;
   (* lifecycle *)
-  mutable roots : root list;
   mutable young : (int * int * int) list;
       (* unique-table keys inserted since the last collection: the
          nursery a minor sweep scans.  Children are always built before
@@ -128,7 +119,6 @@ let state_key : state Domain.DLS.key =
         minimal_cache = Cache1.create 4_096;
         maximal_cache = Cache1.create 4_096;
         count_cache = Cache1.create 4_096;
-        roots = [];
         young = [];
         allocs_since_gc = 0;
         gc_threshold = base;
@@ -195,34 +185,11 @@ let clear_caches_st st =
 let clear_caches () = clear_caches_st (state ())
 
 (* ------------------------------------------------------------------ *)
-(* Unique-table lifecycle: roots and mark-and-sweep collection          *)
+(* Unique-table lifecycle: mark-and-sweep collection                  *)
 (* ------------------------------------------------------------------ *)
 
-module Root = struct
-  type handle = root
-
-  let create value =
-    let st = state () in
-    let r =
-      { owner = (Domain.self () :> int); value; released = Atomic.make false }
-    in
-    st.roots <- r :: st.roots;
-    r
-
-  let get r =
-    if Atomic.get r.released then None
-    else if (Domain.self () :> int) <> r.owner then None
-    else Some r.value
-
-  let release r = Atomic.set r.released true
-  let is_released r = Atomic.get r.released
-end
-
-(* Mark everything reachable from the extra roots plus the registered
-   (un-released) root handles; released handles are dropped here, which
-   is the owning domain's side of cross-domain release. *)
-let mark_live st extra_roots =
-  st.roots <- List.filter (fun r -> not (Atomic.get r.released)) st.roots;
+(* Mark everything reachable from the caller's roots. *)
+let mark_live roots =
   let marked : unit Cache1.t = Cache1.create 4_096 in
   let rec mark f =
     match f.node with
@@ -234,8 +201,7 @@ let mark_live st extra_roots =
         mark lo
       end
   in
-  List.iter mark extra_roots;
-  List.iter (fun r -> mark r.value) st.roots;
+  List.iter mark roots;
   marked
 
 (* Sweep after a full mark.  A minor sweep scans only the nursery
@@ -251,8 +217,8 @@ let mark_live st extra_roots =
    between steps, keeps its memo across a working set that is all live.
    Returns [(scope, reclaimed)] where [scope] is how many table entries
    the sweep examined. *)
-let sweep_st st ~extra_roots ~major =
-  let marked = mark_live st extra_roots in
+let sweep_st st ~roots ~major =
+  let marked = mark_live roots in
   let scope, reclaimed =
     if major then begin
       let before = Unique.length st.unique in
@@ -309,7 +275,7 @@ module Gc = struct
 
   let collect ?(roots = []) () =
     let st = state () in
-    let _, reclaimed = sweep_st st ~extra_roots:roots ~major:true in
+    let _, reclaimed = sweep_st st ~roots ~major:true in
     reclaimed
 
   let sync_threshold st =
@@ -336,12 +302,12 @@ module Gc = struct
     sync_threshold st;
     if st.gc_threshold <= 0 || st.allocs_since_gc < st.gc_threshold then false
     else begin
-      let scope, reclaimed = sweep_st st ~extra_roots:roots ~major:false in
+      let scope, reclaimed = sweep_st st ~roots ~major:false in
       let scope, reclaimed =
         if reclaimed * 4 < scope then begin
           (* the nursery was mostly live: promote it and do a full sweep
              so garbage promoted by earlier minors still gets found *)
-          let s2, r2 = sweep_st st ~extra_roots:roots ~major:true in
+          let s2, r2 = sweep_st st ~roots ~major:true in
           (scope + s2, reclaimed + r2)
         end
         else (scope, reclaimed)

@@ -156,8 +156,8 @@ val to_sets : t -> elt list list
 
     Each OCaml 5 domain owns a private manager (unique table, tag
     allocator, operation caches, collector).  The managers have a real
-    lifecycle: live families are pinned via {!Root} handles, and dead
-    nodes are reclaimed by generational mark-and-sweep ({!Gc}), with
+    lifecycle: the caller names the live families at each collection,
+    and dead nodes are reclaimed by generational mark-and-sweep ({!Gc}), with
     every operation cache invalidated by a collection that reclaims
     anything, so stale hits can never resurrect a swept node (a
     collection that reclaims nothing keeps them: no entry can be
@@ -198,34 +198,11 @@ val chain_hit_count : unit -> int
 (** How many operations resolved through a chain fast path on this
     domain (see {!configure}). *)
 
-(** Root handles pin families across garbage collections.  A handle is
-    created on — and owned by — the domain whose manager holds the
-    nodes; {!Root.release} may be called from any domain (it is a
-    single atomic store), and the owner drops the pin at its next
-    collection.  This is how [Serve.Cache] keeps a warm ZDD universe
-    alive from the server thread while worker domains collect. *)
-module Root : sig
-  type handle
-
-  val create : t -> handle
-  (** Register the family as a GC root on the calling domain. *)
-
-  val get : handle -> t option
-  (** The pinned family, or [None] if the handle was released or the
-      caller is not the owning domain (foreign nodes must never leak
-      into another manager's operations). *)
-
-  val release : handle -> unit
-  (** Unpin.  Safe from any domain; idempotent. *)
-
-  val is_released : handle -> bool
-end
-
 (** Generational mark-and-sweep over this domain's unique table.
     Collections are only triggered between operations (never inside a
-    recursion), so callers decide the safe points: pass the families
-    they still need as [roots] (in addition to registered {!Root}
-    handles).  Minor collections sweep only the nursery — nodes
+    recursion), so callers decide the safe points and pass the families
+    they still need as [roots]; nothing else survives a collection.
+    Minor collections sweep only the nursery — nodes
     allocated since the last collection; sound because children are
     always older than their parents — and escalate to a full sweep when
     the nursery is mostly live. *)

@@ -1,9 +1,12 @@
-(* Shared generators for the covering-layer test suites. *)
+(* Shared generators and oracles for the test suites. *)
 
 module Matrix = Covering.Matrix
 
 (* the pass engine the worklist reduction engine is tested against *)
 module Reduce_oracle = Reduce_oracle
+
+(* the tabulation the implicit prime generator is tested against *)
+module Qm = Qm
 
 (* The sort-based pruning [Matrix.irredundant] replaced, kept as its
    test oracle: sort the cover's columns by cost descending, ties by

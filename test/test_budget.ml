@@ -352,15 +352,29 @@ let check_anytime_contract ~name ~site ~fault_after m (r : Scg.result) budget =
 let scg_sites =
   [ Budget.Implicit_reduce; Budget.Explicit_reduce; Budget.Subgradient; Budget.Dual_ascent ]
 
+(* The implicit phase runs only above the MaxR/MaxC guards, and every
+   difficult instance is within the default ones: its leg runs with
+   MaxR = 0, where the first step is a checkpoint, so the earliest fault
+   must trip inside the phase. *)
 let test_fault_sweep () =
   List.iter
     (fun (name, m) ->
       List.iter
         (fun site ->
+          let config =
+            if site = Budget.Implicit_reduce then
+              { quick_config with Scg.Config.max_rows_implicit = 0 }
+            else quick_config
+          in
           List.iter
             (fun fault_after ->
               let budget = Budget.create ~fault_after ~fault_site:site () in
-              let r = Scg.solve ~budget ~config:quick_config m in
+              let r = Scg.solve ~budget ~config m in
+              if site = Budget.Implicit_reduce && fault_after = 1 then
+                Alcotest.(check bool)
+                  (name ^ ": the implicit phase trips")
+                  true
+                  (Budget.tripped budget <> None);
               check_anytime_contract ~name ~site ~fault_after m r budget)
             [ 1; 4; 16 ])
         scg_sites)

@@ -297,8 +297,8 @@ let test_primes_against_oracles () =
     let implicit =
       sort_cubes (Primes.to_cubes ~nvars:n (Primes.of_covers ~on ~dc))
     in
-    let qm = sort_cubes (Qm.primes ~on ~dc) in
-    let brute = sort_cubes (Qm.brute_force_primes ~on ~dc) in
+    let qm = sort_cubes (Test_support.Qm.primes ~on ~dc) in
+    let brute = sort_cubes (Test_support.Qm.brute_force_primes ~on ~dc) in
     let show cs = String.concat " " (List.map Cube.to_string cs) in
     Alcotest.(check string) "implicit = qm" (show qm) (show implicit);
     Alcotest.(check string) "implicit = brute" (show brute) (show implicit)

@@ -159,6 +159,21 @@ let test_root_memo () =
       check (ctx "steps within it") true (r.Scg.stats.Scg.Stats.subgradient_steps <= cap))
     [ 2000; 2500 ]
 
+(* Within the MaxR/MaxC guards the solve skips the implicit phase and
+   builds no ZDD at all: a pristine domain's manager never holds a node.
+   MaxR = 0 puts the same input above the guard, where it does. *)
+let test_no_zdd_within_guards () =
+  let m = Benchsuite.Registry.matrix (Benchsuite.Registry.find "bench1") in
+  let peak config =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (Scg.solve ~config m);
+           Zdd.peak_node_count ()))
+  in
+  Alcotest.(check int) "bench1 builds no node" 0 (peak Scg.Config.default);
+  check "above the guard it does" true
+    (peak { Scg.Config.default with Scg.Config.max_rows_implicit = 0 } > 0)
+
 let test_scg_partitioned_core () =
   (* two disjoint odd cycles: componentwise bounds compose — each block
      proves ceil(2.5) = 3, so the total 6 is proven even though the joint
@@ -291,6 +306,8 @@ let () =
           Alcotest.test_case "warm lambda0" `Quick test_warm_lambda0;
           Alcotest.test_case "warm mu0" `Quick test_warm_mu0;
           Alcotest.test_case "root memo" `Quick test_root_memo;
+          Alcotest.test_case "no ZDD within the guards" `Quick
+            test_no_zdd_within_guards;
           Alcotest.test_case "partitioned core" `Quick test_scg_partitioned_core;
           Alcotest.test_case "deterministic" `Quick test_scg_deterministic;
           Alcotest.test_case "medium vs exact" `Slow test_scg_medium_vs_exact;

@@ -190,15 +190,25 @@ let test_null_vs_active_differential () =
   check "same lower bound" true (plain.Scg.lower_bound = traced.Scg.lower_bound);
   check "same iterations" true
     (plain.Scg.stats.Scg.Stats.iterations = traced.Scg.stats.Scg.Stats.iterations);
-  (* and the traced run actually recorded the solve's phases *)
-  let names = List.map (fun s -> s.Telemetry.name) (Telemetry.spans t) in
-  check "implicit span" true (List.mem "implicit-reduce" names);
-  check "explicit span" true (List.mem "explicit-reduce" names);
-  check "component span" true (List.mem "component-0" names);
+  (* and the traced run actually recorded the solve's phases; bench1 is
+     within the MaxR/MaxC guards, so the implicit phase does not run *)
+  let names t = List.map (fun s -> s.Telemetry.name) (Telemetry.spans t) in
+  let names_default = names t in
+  check "no implicit span within the guards" false
+    (List.mem "implicit-reduce" names_default);
+  check "explicit span" true (List.mem "explicit-reduce" names_default);
+  check "component span" true (List.mem "component-0" names_default);
   check "subgradient steps counted" true
     (Telemetry.counter t "subgradient.steps"
     = traced.Scg.stats.Scg.Stats.subgradient_steps);
-  check "trace nonempty" true (Buffer.length buf > 0)
+  check "trace nonempty" true (Buffer.length buf > 0);
+  (* MaxR = 0 puts it above the guard: the phase runs, in its span *)
+  let above = Telemetry.create () in
+  let config = { Scg.Config.default with Scg.Config.max_rows_implicit = 0 } in
+  let r = Scg.solve ~telemetry:above ~config m in
+  check "same cost above the guard" true (r.Scg.cost = plain.Scg.cost);
+  check "implicit span above the guard" true
+    (List.mem "implicit-reduce" (names above))
 
 (* solver spans cover the run: the per-phase seconds in the summary sum
    to no more than the total elapsed time, and the top-level phases are
