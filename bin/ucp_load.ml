@@ -157,7 +157,7 @@ let mix_arg =
     & info [ "mix" ]
         ~doc:
           "Request mix: $(b,steady) cycles valid instances (exercises the \
-           warm cache), $(b,torture) interleaves all four formats with \
+           parse cache), $(b,torture) interleaves all four formats with \
            malformed frames, budget-tripped and (with \
            $(b,--fault-injection)) crashing requests.")
 
@@ -183,7 +183,7 @@ let distinct_arg =
   Arg.(
     value & opt int 4
     & info [ "distinct" ] ~docv:"N"
-        ~doc:"Distinct instances in the steady mix (repeats hit the warm \
+        ~doc:"Distinct instances in the steady mix (repeats hit the parse \
               cache).")
 
 let rows_arg =

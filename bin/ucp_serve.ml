@@ -3,15 +3,14 @@
    Listens on a Unix-domain socket, speaks the UCP/1 protocol
    (lib/serve/proto.mli, DESIGN.md §14), and solves .ucp / OR-Library /
    .pla / .kiss payloads under per-request budgets clamped by the
-   ceilings below.  Warm state — hash-consed ZDD/BDD managers on the
-   long-lived worker domains, parsed problems, memoized PLA primes and
-   λ/μ multiplier memory per problem signature — persists across
-   requests.
+   ceilings below.  Parsed problems and memoized PLA primes persist
+   across requests, per problem signature; every request is solved from
+   scratch, so it answers as ucp_solve does for the same bytes.
 
    Degradation: a full admission queue sheds (OVERLOAD + retry-after),
    budget trips answer FEASIBLE_BUDGET with the best cover found,
    crashes are isolated to their request (INTERNAL_ERROR; that
-   signature's warm state is dropped), and SIGTERM/SIGINT drain: stop
+   signature's cache entry is dropped), and SIGTERM/SIGINT drain: stop
    accepting, finish or budget-trip in-flight work, flush telemetry,
    exit 0. *)
 
@@ -190,7 +189,8 @@ let cache_capacity_arg =
   Arg.(
     value & opt int 64
     & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:"Warm-cache entries (problem signatures) kept at most.")
+        ~doc:"Parsed problems (one per problem signature) kept at most; \
+              the least recently used is evicted first.")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.")
 

@@ -37,18 +37,14 @@ type t = {
           default true).  Ablation knob. *)
   seed : int;  (** RNG seed for the randomised runs (default 0x5C6). *)
   jobs : int;
-      (** worker count for component parallelism: cyclic-core components
-          are solved on a {!Par.Pool} of this many domains (default 1 =
-          the exact legacy sequential path, no domains spawned).  Covers,
-          costs and status are bit-identical for every [jobs] value; see
-          DESIGN.md §10. *)
-  par_min_rows : int;
-      (** work-size threshold for component parallelism: components
-          below this many rows are solved inline on the caller instead
-          of crossing a domain boundary, and when fewer than two
-          components reach it, no pool is spun up at all (default
-          {!Par.default_min_rows} = 256).  Results are bit-identical for
-          every value. *)
+      (** worker count for component parallelism, the solver's only
+          parallelism setting: cyclic-core components are solved on a
+          {!Par.Pool} of this many domains, created for the component
+          stage (default 1 = the exact legacy sequential path, no
+          domains spawned).  Components below {!Par.default_min_rows}
+          rows run inline on the caller, and when fewer than two reach
+          it no pool is spun up at all.  Covers, costs and status are
+          bit-identical for every [jobs] value; see DESIGN.md §10. *)
   dense_threshold : int;
       (** adaptive bit-slice dispatch: matrices with
           [rows·cols <= dense_threshold] (and density ≥ 1/word) get a

@@ -81,13 +81,12 @@ module Core_space = struct
 end
 
 (* A component's last cold root (doc/ALGORITHMS.md, "Reusing the cold
-   root").  Every descent of a solve without a warm pair opens on the
-   whole core with a fresh multiplier memory, and nothing random runs
-   before fixing, so the root's subgradient outcome is a function of the
-   core, the configuration and [ub], and its dual penalties one of the
-   core and their own [z_best].  Each is kept under its key, and only
-   the last of each: the incumbent only falls, so an older key never
-   returns. *)
+   root").  Every descent opens on the whole core with a fresh
+   multiplier memory, and nothing random runs before fixing, so the
+   root's subgradient outcome is a function of the core, the
+   configuration and [ub], and its dual penalties one of the core and
+   their own [z_best].  Each is kept under its key, and only the last of
+   each: the incumbent only falls, so an older key never returns. *)
 type root_memo = {
   mutable cold : (int * Subgradient.outcome * int) option;
       (* ub, the outcome, and the Dual_ascent ticks it took (its
@@ -100,20 +99,13 @@ type root_memo = {
    empty or the path is bound-dominated.  Returns the candidate solutions
    found (in core-identifier space) and the best lower bound certified for
    the *full* core (i.e. from subgradient runs before any fixing).  [memo]
-   is the component's root memo, [None] when a warm pair is given. *)
-let construct ~(config : Config.t) ~budget ~telemetry ~warm ~memo ~component
-    ~rand ~best_cols ~(space : Core_space.t) ~(z_best : int ref)
+   is the component's root memo, read and written on the root only. *)
+let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
+    ~component ~rand ~best_cols ~(space : Core_space.t) ~(z_best : int ref)
     ~(best_ids : int list ref) ~stats_steps ~stats_fixes ~stats_pen =
-  (* [warm]: externally owned multiplier memory (a solve daemon passing
-     state from a previous request for the same instance); the memory is
-     written through, so later descents — and later solves handed the
-     same pair — start from the freshest multipliers.  Without it each
-     descent owns a fresh memory, the paper's §3.2 semantics. *)
-  let lambda_mem, mu_mem =
-    match warm with
-    | Some (l, u) -> (l, u)
-    | None -> (Warm.create (), Warm.create ())
-  in
+  (* each descent owns a fresh multiplier memory, the paper's §3.2
+     semantics: λ and μ pass from one subproblem to the next *)
+  let lambda_mem = Warm.create () and mu_mem = Warm.create () in
   let root_lb = ref 0. in
   let consider ids =
     let ids = Core_space.irredundant space ids in
@@ -149,7 +141,6 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~memo ~component
         Telemetry.incr telemetry
           (if lambda0 = None then "warm.lambda0_miss" else "warm.lambda0_hit");
       let ub = !z_best - committed_cost in
-      let memo = if first then memo else None in
       let run () =
         Telemetry.span telemetry "subgradient" (fun () ->
             let on_step =
@@ -165,9 +156,8 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~memo ~component
               ?on_step ~ub m)
       in
       let sg =
-        match memo with
-        | None -> run ()
-        | Some memo -> (
+        if not first then run ()
+        else
           (* reuse the root only once the governor has booked the ticks
              it took; a refused charge re-runs it, so a trip lands on
              the very tick it would have *)
@@ -194,7 +184,7 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~memo ~component
               in
               memo.cold <- Some (ub, sg, dual_ticks)
             end;
-            sg)
+            sg
       in
       stats_steps := !stats_steps + sg.Subgradient.steps;
       Telemetry.add telemetry "subgradient.steps" sg.Subgradient.steps;
@@ -217,15 +207,14 @@ let construct ~(config : Config.t) ~budget ~telemetry ~warm ~memo ~component
         let pen_dual =
           let z = !z_best - committed_cost in
           let compute () = Penalties.dual ~max_cols:config.Config.dual_pen_max_cols m ~z_best:z in
-          match memo with
-          | None -> compute ()
-          | Some memo -> (
+          if not first then compute ()
+          else
             match memo.dual_pen with
             | Some (z', pen) when z' = z -> pen
             | _ ->
               let pen = compute () in
               memo.dual_pen <- Some (z, pen);
-              pen)
+              pen
         in
         let forced_out =
           List.sort_uniq Stdlib.compare
@@ -330,7 +319,7 @@ type comp_result = {
   comp_best_iteration : int;
 }
 
-let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
+let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
     ?(config = Config.default) input =
   for j = 0 to Matrix.n_cols input - 1 do
     if Matrix.col_id input j <> j then invalid_arg "Scg.solve: matrix already re-indexed"
@@ -342,11 +331,6 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
     ~gc_threshold:config.zdd_gc_threshold
     ~chain_reduction:config.zdd_chain_reduction ();
   Bdd.configure ~initial_size:config.zdd_initial_size ();
-  (* externally owned warm memory is a plain hashtable: never share it
-     across worker domains — a warmed solve runs its components on the
-     calling domain (the daemon parallelises across requests instead) *)
-  let pool = if warm = None then pool else None in
-  let config = if warm = None then config else { config with Config.jobs = 1 } in
   (* all timings on the governor's wall clock, so [stats.total_seconds]
      is consistent with a tripped [--timeout] *)
   let t_start = Budget.Clock.now () in
@@ -428,10 +412,10 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
     (* the oldest reduction of all (§2, "partitioning"): disconnected
        blocks of the cyclic core are independent subproblems, solved
        separately — their bounds add up, so optimality proofs compose.
-       With [jobs > 1] (or an explicit pool) they are also solved
-       concurrently; the RNG is seeded per component in both paths, so
-       the parallel schedule cannot change any component's search and
-       covers/costs/status are bit-identical to the sequential run. *)
+       With [jobs > 1] they are also solved concurrently; the RNG is
+       seeded per component in both paths, so the parallel schedule
+       cannot change any component's search and covers/costs/status are
+       bit-identical to the sequential run. *)
     let components = Array.of_list (Covering.Partition.split core) in
     let n_comp = Array.length components in
     let solve_component ~budget ~telemetry ~component sub =
@@ -452,9 +436,8 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
       let z_best = ref (Matrix.cost_of sub g) in
       let best_ids = ref (List.map (Matrix.col_id sub) g) in
       let best_lb = ref 0 in
-      (* lives for this component only: no state outlives the solve, and
-         a warm pair starts later roots warm, so it gets no memo *)
-      let memo = if warm = None then Some { cold = None; dual_pen = None } else None in
+      (* lives for this component only: no state outlives the solve *)
+      let memo = { cold = None; dual_pen = None } in
       (try
          for iter = 0 to config.num_iter - 1 do
            if Budget.tripped budget <> None then raise Exit;
@@ -463,7 +446,7 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
            let before = !z_best in
            let lb =
              Telemetry.span telemetry "descent" (fun () ->
-                 construct ~config ~budget ~telemetry ~warm ~memo ~component ~rand
+                 construct ~config ~budget ~telemetry ~memo ~component ~rand
                    ~best_cols ~space ~z_best ~best_ids ~stats_steps:steps
                    ~stats_fixes:fixes ~stats_pen:pen)
            in
@@ -498,16 +481,17 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
          collector; merging back in component order keeps trip selection
          and merged summaries deterministic.  Each worker domain builds
          its ZDDs in its own domain-local manager.  Components below
-         [par_min_rows] rows run inline on the caller — they still get
-         forked budget/telemetry, so the merged records are identical
-         whichever side of the threshold a component lands on. *)
+         [Par.default_min_rows] rows run inline on the caller — they
+         still get forked budget/telemetry, so the merged records are
+         identical whichever side of the threshold a component lands
+         on. *)
       let children =
         Array.map (fun _ -> (Budget.fork budget, Telemetry.fork telemetry)) components
       in
       let out =
         Par.map_if ~pool
           ~big:(fun component ->
-            Matrix.n_rows components.(component) >= config.Config.par_min_rows)
+            Matrix.n_rows components.(component) >= Par.default_min_rows)
           (fun component ->
             let b, t = children.(component) in
             Telemetry.span t ~index:component "component" (fun () ->
@@ -528,18 +512,13 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?pool ?warm
     let n_big =
       Array.fold_left
         (fun acc sub ->
-          if Matrix.n_rows sub >= config.Config.par_min_rows then acc + 1 else acc)
+          if Matrix.n_rows sub >= Par.default_min_rows then acc + 1 else acc)
         0 components
     in
     let results =
-      if n_comp <= 1 then sequential ()
-      else
-        match pool with
-        | Some p when Par.Pool.jobs p > 1 && n_big > 1 -> parallel p
-        | Some _ -> sequential ()
-        | None when config.jobs > 1 && n_big > 1 ->
-          Par.Pool.with_pool ~jobs:config.jobs parallel
-        | None -> sequential ()
+      if config.jobs > 1 && n_big > 1 then
+        Par.Pool.with_pool ~jobs:config.jobs parallel
+      else sequential ()
     in
     let core_ids = Array.fold_left (fun acc r -> r.comp_ids @ acc) [] results in
     let lb_core_int = Array.fold_left (fun acc r -> acc + r.comp_lb) 0 results in
@@ -564,39 +543,39 @@ let bridge ?(telemetry = Telemetry.null) ~matrix build =
       Telemetry.add telemetry "bridge.rows" (Matrix.n_rows m);
       b)
 
-let solve_logic ?budget ?telemetry ?pool ?config ?cost ~on ~dc () =
+let solve_logic ?budget ?telemetry ?config ?cost ~on ~dc () =
   let bridge =
     bridge ?telemetry
       ~matrix:(fun b -> b.Covering.From_logic.matrix)
       (fun () -> Covering.From_logic.build ?cost ~on ~dc ())
   in
   let result =
-    solve ?budget ?telemetry ?pool ?config bridge.Covering.From_logic.matrix
+    solve ?budget ?telemetry ?config bridge.Covering.From_logic.matrix
   in
   (result, bridge)
 
-let solve_logic_implicit ?budget ?telemetry ?pool ?config ?cost ~on ~dc () =
+let solve_logic_implicit ?budget ?telemetry ?config ?cost ~on ~dc () =
   let bridge =
     bridge ?telemetry
       ~matrix:(fun b -> b.Covering.From_logic.imatrix)
       (fun () -> Covering.From_logic.build_implicit ?cost ~on ~dc ())
   in
   let result =
-    solve ?budget ?telemetry ?pool ?config bridge.Covering.From_logic.imatrix
+    solve ?budget ?telemetry ?config bridge.Covering.From_logic.imatrix
   in
   (result, bridge)
 
-let solve_pla ?budget ?telemetry ?pool ?config pla ~output =
-  solve_logic ?budget ?telemetry ?pool ?config ~on:(Logic.Pla.onset pla output)
+let solve_pla ?budget ?telemetry ?config pla ~output =
+  solve_logic ?budget ?telemetry ?config ~on:(Logic.Pla.onset pla output)
     ~dc:(Logic.Pla.dcset pla output) ()
 
-let solve_pla_multi ?budget ?telemetry ?pool ?config pla =
+let solve_pla_multi ?budget ?telemetry ?config pla =
   let bridge =
     bridge ?telemetry
       ~matrix:(fun b -> b.Covering.From_logic.mmatrix)
       (fun () -> Covering.From_logic.build_multi pla)
   in
   let result =
-    solve ?budget ?telemetry ?pool ?config bridge.Covering.From_logic.mmatrix
+    solve ?budget ?telemetry ?config bridge.Covering.From_logic.mmatrix
   in
   (result, bridge)

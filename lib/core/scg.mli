@@ -47,10 +47,10 @@ module Warm = Warm
 
 module Par = Par
 (** The Domain-backed worker pool, re-exported so callers can write
-    [Scg.Par.Pool.with_pool].  Pass a pool to {!solve} (or set
-    {!Config.t.jobs}) to solve cyclic-core components concurrently; use
-    {!Par.map} over whole instances for batch parallelism.  Results are
-    bit-identical to sequential runs — see DESIGN.md §10.  @inline *)
+    [Scg.Par.Pool.with_pool].  Set {!Config.t.jobs} to solve cyclic-core
+    components concurrently; use {!Par.map} over whole instances for
+    batch parallelism.  Results are bit-identical to sequential runs —
+    see DESIGN.md §10.  @inline *)
 
 (** How the run ended.  Whatever the status, [solution] is a feasible
     cover and [lower_bound] a valid bound. *)
@@ -74,8 +74,6 @@ type result = {
 val solve :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Par.Pool.t ->
-  ?warm:Warm.t * Warm.t ->
   ?config:Config.t ->
   Covering.Matrix.t ->
   result
@@ -88,27 +86,22 @@ val solve :
     [telemetry] (default: {!Telemetry.null}, a no-op) records phase
     spans, reduction/fixing counters and the per-step subgradient trace.
 
-    Without [warm], each component keeps its last cold root — the
-    subgradient run that opens a descent — and a later descent at the
-    same incumbent reuses it once [Budget.charge] has booked the ticks
-    it took; a refused charge re-runs it, so budgeted answers and trip
-    ticks are those of a solve that re-runs every root
-    (doc/ALGORITHMS.md §15).  Reused steps count in
-    [stats.subgradient_steps] and in the ["subgradient.steps"] counter
-    as before, and also in ["subgradient.reused_steps"]; they write no
-    step records.
+    With [config.warm_start] (the default) each descent warm-starts λ
+    and μ from the previous subproblem of the same descent (§3.2) and
+    from nothing else: no multiplier memory outlives a descent, so the
+    answer is a function of the input, the configuration and the budget
+    alone.  When [telemetry] is active the counters
+    ["warm.lambda0_hit"]/["warm.lambda0_miss"] record how often a
+    subproblem found a usable λ₀.
 
-    [warm] is an externally owned [(λ, μ)] multiplier memory (see
-    {!Warm}): the descents read their warm starts from it and write the
-    final multipliers back through it, so a caller holding one pair per
-    problem signature — the [ucp_serve] daemon — warm-starts repeated
-    instances across independent [solve] calls.  Because the memory is
-    a plain hashtable, a warmed solve ignores [pool]/[config.jobs] and
-    runs its components on the calling domain; parallelise across
-    requests instead.  Without [warm] (the default) behaviour is
-    bit-identical to previous releases.  When [telemetry] is active the
-    counters ["warm.lambda0_hit"]/["warm.lambda0_miss"] record how often
-    a subproblem found a usable λ₀.
+    Each component keeps its last cold root — the subgradient run that
+    opens a descent — and a later descent at the same incumbent reuses
+    it once [Budget.charge] has booked the ticks it took; a refused
+    charge re-runs it, so budgeted answers and trip ticks are those of
+    a solve that re-runs every root (doc/ALGORITHMS.md §15).  Reused
+    steps count in [stats.subgradient_steps] and in the
+    ["subgradient.steps"] counter as before, and also in
+    ["subgradient.reused_steps"]; they write no step records.
 
     The implicit phase runs only above [config]'s MaxR/MaxC guards
     ([max_rows_implicit], [max_cols_implicit]), as in the paper's
@@ -119,13 +112,15 @@ val solve :
     ([zdd_initial_size] / [zdd_gc_threshold] / [zdd_chain_reduction])
     via [Zdd.configure] before the implicit phase.
 
-    Cyclic-core components are solved concurrently when [pool] is given
-    (or when [config.jobs > 1], which creates a transient pool); covers,
-    costs, bounds and status are bit-identical to the sequential run for
-    every worker count.  Budget-governed runs still honour the anytime
-    contract under parallelism, but where a budget trips may differ
-    between jobs counts — tick counters are per-domain (only the
-    wall-clock deadline is shared); see DESIGN.md §10.
+    Cyclic-core components are solved concurrently when
+    [config.jobs > 1] and at least two of them have
+    {!Par.default_min_rows} rows or more, on a pool created for the
+    component stage; covers, costs, bounds and status are bit-identical
+    to the sequential run for every worker count.  Budget-governed runs
+    still honour the anytime contract under parallelism, but where a
+    budget trips may differ between jobs counts — tick counters are
+    per-domain (only the wall-clock deadline is shared); see DESIGN.md
+    §10.
     @raise Invalid_argument if the matrix was already re-indexed. *)
 
 val bridge :
@@ -143,7 +138,6 @@ val bridge :
 val solve_logic :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Par.Pool.t ->
   ?config:Config.t ->
   ?cost:(Logic.Cube.t -> int) ->
   on:Logic.Cover.t ->
@@ -157,7 +151,6 @@ val solve_logic :
 val solve_logic_implicit :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Par.Pool.t ->
   ?config:Config.t ->
   ?cost:(Logic.Cube.t -> int) ->
   on:Logic.Cover.t ->
@@ -172,7 +165,6 @@ val solve_logic_implicit :
 val solve_pla :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Par.Pool.t ->
   ?config:Config.t ->
   Logic.Pla.t ->
   output:int ->
@@ -182,7 +174,6 @@ val solve_pla :
 val solve_pla_multi :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Par.Pool.t ->
   ?config:Config.t ->
   Logic.Pla.t ->
   result * Covering.From_logic.multi

@@ -53,25 +53,3 @@ let split m =
       List.iter (fun j -> keep_cols.(j) <- true) cols;
       Matrix.submatrix m ~keep_rows ~keep_cols)
     (components m)
-
-let solve_componentwise ?pool ?(par_min_rows = Par.default_min_rows) solver m =
-  (* With a pool the components are solved concurrently; Par.map_if keys
-     results by component index, and the merge below folds them in the
-     same order as the sequential path, so the combined solution and
-     cost are bit-identical whatever the worker count.  Components below
-     [par_min_rows] rows never cross a domain boundary — their solve is
-     cheaper than the crossing.  The solver closure must be safe to run
-     on a worker domain (each call receives a distinct submatrix; see
-     DESIGN.md §10 on ownership). *)
-  let subs = Array.of_list (split m) in
-  let solved =
-    match pool with
-    | Some _ when Array.length subs > 1 ->
-      Par.map_if ?pool
-        ~big:(fun sub -> Matrix.n_rows sub >= par_min_rows)
-        solver subs
-    | _ -> Array.map solver subs
-  in
-  Array.fold_left
-    (fun (sol, cost) (s, c) -> (s @ sol, c + cost))
-    ([], 0) solved

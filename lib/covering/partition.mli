@@ -18,21 +18,3 @@ val components : Matrix.t -> component list
 
 val split : Matrix.t -> Matrix.t list
 (** One submatrix per component (identifiers preserved). *)
-
-val solve_componentwise :
-  ?pool:Par.Pool.t ->
-  ?par_min_rows:int ->
-  (Matrix.t -> int list * int) ->
-  Matrix.t ->
-  int list * int
-(** [solve_componentwise solver m] runs [solver] (returning identifiers and
-    cost) on every component and combines the results.  With [pool] the
-    components are solved concurrently, one per worker; results are
-    merged in component order, so solution and cost are bit-identical to
-    the sequential run.  Components below [par_min_rows] rows (default
-    {!Par.default_min_rows}) are solved inline on the caller — shipping
-    a tiny solve across a domain costs more than the solve; with fewer
-    than two big components no domain is crossed at all.  [solver] must
-    be safe to call from worker domains: no shared mutable state beyond
-    the domain-safe solver stack (budget forks, per-domain collectors,
-    domain-local ZDD managers — see DESIGN.md §10). *)

@@ -188,7 +188,8 @@ let run_batch p tasks =
    microseconds, far under the cost of crossing a domain boundary
    (publishing the closure, waking a worker, cache migration), so
    [map_if] keeps such tasks on the caller.  Chosen from
-   bench --table par data; Config.par_min_rows overrides per solve. *)
+   bench --table par data; Scg.solve's component stage and the batch
+   drivers use it as is. *)
 let default_min_rows = 256
 
 let map (type a b) ?pool (f : a -> b) (arr : a array) : b array =

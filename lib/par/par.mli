@@ -57,10 +57,9 @@ val map_list : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same semantics and ordering guarantee. *)
 
 val default_min_rows : int
-(** Work-size threshold backing [Config.par_min_rows]: tasks on
-    matrices below this many rows are cheaper to run inline than to
-    ship across a domain boundary (256; measured with
-    [bench --table par]). *)
+(** Work-size threshold for {!map_if}: tasks on matrices below this
+    many rows are cheaper to run inline than to ship across a domain
+    boundary (256; measured with [bench --table par]). *)
 
 val map_if : ?pool:Pool.t -> big:('a -> bool) -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_if ?pool ~big f arr] — {!map}, except only elements with

@@ -5,9 +5,6 @@ type problem =
 
 type entry = {
   problem : problem;
-  (* [None] while some request has the pair checked out *)
-  mutable warm : (Scg.Warm.t * Scg.Warm.t) option;
-  mutable hits : int;
   mutable last_used : int;
 }
 
@@ -41,7 +38,6 @@ let locked t f =
 
 type checkout = {
   problem : problem;
-  warm : (Scg.Warm.t * Scg.Warm.t) option;
   hit : bool;
 }
 
@@ -53,32 +49,20 @@ let force_lazy_indexes = function
     ignore (Covering.Matrix.col_index_of_id bridge.Covering.From_logic.mmatrix 0)
   | P_kiss _ -> ()
 
-let take_warm (entry : entry) =
-  match entry.warm with
-  | Some pair ->
-    entry.warm <- None;
-    Some pair
-  | None -> None
-
 let touch t entry =
   t.clock <- t.clock + 1;
   entry.last_used <- t.clock
 
-(* LRU among the entries whose warm pair is checked in.  [warm = None]
-   means some request holds the pair right now (including a freshly
-   installed entry before its first check-in): evicting it would strand
-   the check-in and un-pin state a solve is using, so pinned entries are
-   never victims.  When everything is pinned we run over capacity
-   temporarily — capacity is bounded by the worker count in that case. *)
+(* plain LRU: every entry is a victim, since a request solving with an
+   evicted problem keeps its own reference to it *)
 let evict_one t =
   if Hashtbl.length t.table >= t.capacity then begin
     let victim = ref None in
     Hashtbl.iter
       (fun k (e : entry) ->
-        if e.warm <> None then
-          match !victim with
-          | Some (_, best) when best <= e.last_used -> ()
-          | Some _ | None -> victim := Some (k, e.last_used))
+        match !victim with
+        | Some (_, best) when best <= e.last_used -> ()
+        | Some _ | None -> victim := Some (k, e.last_used))
       t.table;
     match !victim with
     | None -> ()
@@ -92,10 +76,9 @@ let checkout t ~digest ~parse =
     locked t (fun () ->
         match Hashtbl.find_opt t.table digest with
         | Some entry ->
-          entry.hits <- entry.hits + 1;
           touch t entry;
           t.hit_count <- t.hit_count + 1;
-          Some { problem = entry.problem; warm = take_warm entry; hit = true }
+          Some { problem = entry.problem; hit = true }
         | None ->
           t.miss_count <- t.miss_count + 1;
           None)
@@ -109,26 +92,19 @@ let checkout t ~digest ~parse =
     | Error e -> Error e
     | Ok problem ->
       force_lazy_indexes problem;
-      let warm = (Scg.Warm.create (), Scg.Warm.create ()) in
       locked t (fun () ->
           match Hashtbl.find_opt t.table digest with
           | Some entry ->
             (* raced with another miss for the same signature: keep the
-               installed entry, solve this request with its own state *)
+               installed entry *)
             touch t entry;
-            Ok { problem = entry.problem; warm = take_warm entry; hit = true }
+            Ok { problem = entry.problem; hit = true }
           | None ->
             evict_one t;
-            let entry = { problem; warm = None; hits = 0; last_used = 0 } in
+            let entry = { problem; last_used = 0 } in
             touch t entry;
             Hashtbl.replace t.table digest entry;
-            Ok { problem; warm = Some warm; hit = false }))
-
-let checkin t ~digest pair =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table digest with
-      | Some entry when entry.warm = None -> entry.warm <- Some pair
-      | Some _ | None -> ())
+            Ok { problem; hit = false }))
 
 let invalidate t ~digest =
   locked t (fun () ->

@@ -1,24 +1,21 @@
-(** Warm state shared across requests, keyed by problem signature.
+(** Parsed problems shared across requests, keyed by problem signature.
 
     The signature of a request is the digest of its format tag and raw
     payload bytes, so byte-identical re-submissions — the repeated or
     near-identical instances a long-running service actually sees — hit
     the same entry.  An entry memoizes the {e parsed} problem (for PLA
     payloads that includes the computed multi-output primes, the
-    expensive part) and owns one {!Scg.Warm} multiplier pair that
-    {!Scg.solve} warm-starts from and writes back through.
+    expensive part) and nothing else: every request solves from scratch
+    with {!Scg.solve}, so its answer is the one [ucp_solve] gives for the
+    same bytes, whatever ran before it or alongside it.
 
     Thread-safety: the table is mutex-protected; parsing happens outside
     the lock.  A parsed problem is immutable under [Scg.solve] and may
-    be shared by concurrent requests, but a [Warm] pair is a plain
-    hashtable, so it is {e checked out} exclusively: a second concurrent
-    request for the same signature solves cold and its check-in is
-    dropped if the slot was refilled first.
+    be shared by concurrent requests.
 
-    Crash isolation: {!invalidate} drops one signature's entry — parsed
-    problem, primes and multiplier memory together — so a request that
-    died on this input cannot poison the next one, while every other
-    signature keeps its warmth (per-signature, not global,
+    Crash isolation: {!invalidate} drops one signature's entry, so a
+    request that died on this input cannot poison the next one, while
+    every other signature keeps its entry (per-signature, not global,
     invalidation). *)
 
 type problem =
@@ -31,17 +28,11 @@ type t
 
 val create : capacity:int -> t
 (** [capacity] bounds the entry count; beyond it the least-recently-used
-    entry whose warm pair is checked {e in} is evicted.  Entries whose
-    pair is checked out (a request is solving with them, or they were
-    just installed and await their first check-in) are pinned and never
-    victims — when every entry is pinned the table runs over capacity
-    temporarily, bounded by the worker count. *)
+    entry is evicted.  A request solving with an evicted problem keeps
+    its own reference to it. *)
 
 type checkout = {
   problem : problem;
-  warm : (Scg.Warm.t * Scg.Warm.t) option;
-      (** the signature's multiplier memory, exclusively checked out —
-          [None] when another in-flight request holds it (solve cold) *)
   hit : bool;  (** the signature was already cached *)
 }
 
@@ -54,13 +45,8 @@ val checkout :
     Parse failures are returned, not cached.  [parse] may raise
     {!Covering.Infeasible}; it propagates. *)
 
-val checkin : t -> digest:string -> Scg.Warm.t * Scg.Warm.t -> unit
-(** Return a multiplier pair after a successful solve.  Dropped silently
-    if the entry was invalidated or refilled meanwhile. *)
-
 val invalidate : t -> digest:string -> unit
-(** Drop one signature's entry: its parsed problem and its multiplier
-    pair. *)
+(** Drop one signature's entry. *)
 
 val stats : t -> (string * int) list
 (** [hits], [misses], [entries], [invalidations], [evictions] — fed

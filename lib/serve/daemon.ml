@@ -427,13 +427,11 @@ let kiss_response (r : Fsm.Minimise.result) =
   in
   (code, headers, body)
 
-let solve_problem t ~budget ~telemetry ~warm (req : Proto.request) =
-  function
-  | Cache.P_matrix m ->
-    scg_response (Scg.solve ~budget ~telemetry ?warm m)
+let solve_problem t ~budget ~telemetry (req : Proto.request) = function
+  | Cache.P_matrix m -> scg_response (Scg.solve ~budget ~telemetry m)
   | Cache.P_multi (_, bridge) ->
     scg_response
-      (Scg.solve ~budget ~telemetry ?warm bridge.Covering.From_logic.mmatrix)
+      (Scg.solve ~budget ~telemetry bridge.Covering.From_logic.mmatrix)
   | Cache.P_kiss machine ->
     let max_nodes = clamp_opt t.cfg.max_nodes req.Proto.nodes in
     kiss_response (Fsm.Minimise.minimise ~budget ?max_nodes machine)
@@ -488,7 +486,7 @@ let handle_solve t ~slot ~trace ~queue_wait ~log fd (req : Proto.request) payloa
     log Proto.PARSE_ERROR;
     respond fd ~code:Proto.PARSE_ERROR ~headers:id_headers
       ~body:(render_parse_error e)
-  | Ok { Cache.problem; warm; hit } -> (
+  | Ok { Cache.problem; hit } -> (
     Metrics.Counter.incr
       (if hit then t.m.cache_hit.(fi) else t.m.cache_miss.(fi));
     let cache_s = if hit then "hit" else "miss" in
@@ -502,11 +500,10 @@ let handle_solve t ~slot ~trace ~queue_wait ~log fd (req : Proto.request) payloa
           Telemetry.merge server_tel tel;
           Option.iter flush t.trace_oc)
     in
-    match solve_problem t ~budget ~telemetry:tel ~warm req problem with
+    match solve_problem t ~budget ~telemetry:tel req problem with
     | code, headers, body ->
       let solve_s = Unix.gettimeofday () -. solve_t0 in
       finish ();
-      Option.iter (fun pair -> Cache.checkin t.cache ~digest pair) warm;
       count t code;
       Metrics.Histogram.observe
         (match code with
@@ -516,6 +513,8 @@ let handle_solve t ~slot ~trace ~queue_wait ~log fd (req : Proto.request) payloa
         solve_s;
       join_trace t ~trace ~digest ~code ~queue_wait ~solve_s ~cache:cache_s;
       log ~cache:cache_s ~solve_s code;
+      (* the header keeps its historical name; it reports the parse
+         cache, the only state a request reuses *)
       let warm_header = ("warm", cache_s) in
       respond fd ~code ~headers:(id_headers @ (warm_header :: headers)) ~body
     | exception Covering.Infeasible { row_id; _ } ->
@@ -528,9 +527,9 @@ let handle_solve t ~slot ~trace ~queue_wait ~log fd (req : Proto.request) payloa
         ~body:(Printf.sprintf "row %d has no covering column\n" row_id)
     | exception exn ->
       (* crash isolation: this request dies, the daemon does not.  The
-         signature's warm state is dropped so a poisonous input cannot
+         signature's cache entry is dropped so a poisonous input cannot
          hurt the next request that resubmits it; every other
-         signature keeps its warmth.  The crash still settles its whole
+         signature keeps its entry.  The crash still settles its whole
          per-request account: requests.crashed, the error-latency
          histogram, the access-log line and the trace join. *)
       let solve_s = Unix.gettimeofday () -. solve_t0 in

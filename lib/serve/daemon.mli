@@ -5,10 +5,10 @@
     listening socket against the drain flag; accepted connections enter
     a {e bounded} admission queue; [workers] long-lived worker domains
     pop connections and run one request each.  The {!Cache} keeps
-    parsed problems, memoized PLA primes and λ/μ multiplier memory warm
-    per problem signature.  It pins no ZDD: a matrix within the implicit
-    phase's MaxR/MaxC guards builds none, and a larger one builds its
-    row family per request ({!Scg.solve}).
+    parsed problems and memoized PLA primes per problem signature, and
+    nothing else: every request runs {!Scg.solve} from scratch, so it
+    answers as [ucp_solve] does for the same bytes, whatever ran before
+    it or alongside it.
 
     Degradation ladder, in order of preference:
     + a full queue {e sheds} the connection — [OVERLOAD] plus a
@@ -19,8 +19,8 @@
       feasible cover as [FEASIBLE_BUDGET] — the solver's anytime
       contract on the wire;
     + a crash inside one request is caught, logged, answered
-      [INTERNAL_ERROR], and invalidates {e only that signature's} warm
-      state — the daemon and every other signature's warmth survive;
+      [INTERNAL_ERROR], and invalidates {e only that signature's} cache
+      entry — the daemon and every other signature's entry survive;
     + a drain ({!request_drain}, wired to SIGTERM/SIGINT by
       [ucp_serve]) stops accepting, answers queued-but-unstarted
       connections [SHUTDOWN], gives in-flight solves [drain_grace]

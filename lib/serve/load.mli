@@ -34,7 +34,7 @@ val kiss_payload : unit -> string
 val steady_jobs :
   n:int -> distinct:int -> seed:int -> rows:int -> cols:int -> job list
 (** [n] solve requests cycling over [distinct] instances — repeats after
-    the first cycle exercise the daemon's warm cache. *)
+    the first cycle hit the daemon's parse cache. *)
 
 val raw_frames : (string * string) list
 (** The malformed-framing corpus, [(bytes, what-is-wrong)] pairs:

@@ -96,9 +96,9 @@ let test_map_parallel_effects () =
 (* Differential: sequential vs parallel solves                         *)
 (* ------------------------------------------------------------------ *)
 
-let solve_with_jobs ?pool ~jobs problem =
+let solve_with_jobs ~jobs problem =
   let config = { Scg.Config.default with jobs } in
-  Scg.solve ?pool ~config problem
+  Scg.solve ~config problem
 
 let same_result name (a : Scg.result) (b : Scg.result) =
   check (Alcotest.list int) (name ^ ": solution") a.solution b.solution;
@@ -124,17 +124,6 @@ let test_differential_easy () =
 
 let test_differential_difficult () =
   differential_suite (Benchsuite.Registry.difficult ()) [ 2; 8 ] ()
-
-let test_differential_shared_pool () =
-  (* an explicit long-lived pool gives the same answers as transient ones *)
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun (inst : Benchsuite.Registry.instance) ->
-          let problem = Benchsuite.Registry.matrix inst in
-          let reference = solve_with_jobs ~jobs:1 problem in
-          let r = solve_with_jobs ~pool ~jobs:4 problem in
-          same_result inst.name reference r)
-        (Benchsuite.Registry.difficult ()))
 
 let test_batch_matches_sequential () =
   (* batch parallelism: solving many instances concurrently, each on its
@@ -282,7 +271,6 @@ let () =
           Alcotest.test_case "easy suite jobs={1,2,8}" `Slow test_differential_easy;
           Alcotest.test_case "difficult suite jobs={1,2,8}" `Slow
             test_differential_difficult;
-          Alcotest.test_case "shared pool" `Slow test_differential_shared_pool;
           Alcotest.test_case "batch = sequential" `Slow test_batch_matches_sequential;
         ] );
       ( "budget",

@@ -17,16 +17,38 @@ let fast_config =
     subgradient = { Lagrangian.Subgradient.default_config with max_steps = 120 };
   }
 
+let bracketed m ~opt (r : Scg.result) =
+  Matrix.covers m r.Scg.solution
+  && Matrix.cost_of m r.Scg.solution = r.Scg.cost
+  && r.Scg.cost >= opt
+  && r.Scg.lower_bound <= opt
+
+(* A row-regular cyclic core of 14–20 columns: big enough for full
+   descents, reused roots and budget trips under the default
+   configuration, small enough for brute force. *)
+let cyclic_of_seed seed =
+  let rng = Random.State.make [| seed; 31 |] in
+  let n_cols = 14 + Random.State.int rng 7 in
+  Benchsuite.Randucp.cyclic ~name:(Printf.sprintf "bracket-%d" seed)
+    ~n_rows:(n_cols + 4 + Random.State.int rng n_cols)
+    ~n_cols ~k:3 ~cost_spread:(Random.State.int rng 3) ()
+
+(* Every third seed also solves a cyclic core, unbudgeted and under a
+   random step budget of 1–2,000 steps: a tripped solve, and one that
+   reuses a root before or after its trip, must still bracket the
+   optimum. *)
 let prop_scg_feasible_and_bracketed =
   QCheck.Test.make ~name:"scg: cover, LB <= opt <= cost" ~count:80 TS.arb_seed
     (fun seed ->
       let m = TS.small_matrix_of_seed seed in
-      let opt = optimum m in
-      let r = Scg.solve ~config:fast_config m in
-      Matrix.covers m r.Scg.solution
-      && Matrix.cost_of m r.Scg.solution = r.Scg.cost
-      && r.Scg.cost >= opt
-      && r.Scg.lower_bound <= opt)
+      bracketed m ~opt:(optimum m) (Scg.solve ~config:fast_config m)
+      && (seed mod 3 <> 0
+         ||
+         let c = cyclic_of_seed seed in
+         let opt = optimum c in
+         let steps = 1 + (seed / 3 mod 2000) in
+         bracketed c ~opt (Scg.solve c)
+         && bracketed c ~opt (Scg.solve ~budget:(Scg.Budget.create ~steps ()) c)))
 
 let prop_scg_proof_sound =
   QCheck.Test.make ~name:"scg: proven_optimal implies optimal" ~count:80 TS.arb_seed
@@ -132,21 +154,18 @@ let test_warm_mu0 () =
   in
   check "miss zero-fills" true (mu0 w m3 = Some [| 0.25; 0.75; 0. |])
 
-(* Each component keeps its last cold root.  A solve handed a warm pair,
-   as the daemon passes one, starts later roots warm and reuses none; a
-   solve without one reuses roots, and the governor is charged for every
-   reused step, so a step budget still caps the steps a solve reports. *)
-let reused_steps ?budget ?warm m =
+(* Each component keeps its last cold root, and a solve reuses it; the
+   governor is charged for every reused step, so a step budget still
+   caps the steps a solve reports. *)
+let reused_steps ?budget m =
   let t = Scg.Telemetry.create () in
-  let r = Scg.solve ?budget ~telemetry:t ?warm m in
+  let r = Scg.solve ?budget ~telemetry:t m in
   (r, Scg.Telemetry.counter t "subgradient.reused_steps")
 
 let test_root_memo () =
   let m = Benchsuite.Registry.matrix (Benchsuite.Registry.find "bench1") in
   let _, cold = reused_steps m in
   check "a cold solve reuses roots" true (cold > 0);
-  let _, warm = reused_steps ~warm:(Scg.Warm.create (), Scg.Warm.create ()) m in
-  Alcotest.(check int) "a warm pair reuses none" 0 warm;
   (* t1's roots take about 375 steps: under these caps some are reused
      before the budget trips *)
   let t1 = Benchsuite.Registry.matrix (Benchsuite.Registry.find "t1") in
@@ -187,9 +206,15 @@ let test_scg_partitioned_core () =
 
 let test_scg_deterministic () =
   let m = TS.medium_matrix_of_seed 77 in
-  let r1 = Scg.solve m and r2 = Scg.solve m in
+  let r1 = Scg.solve m in
+  (* no state outlives a solve: one in between changes nothing *)
+  ignore (Scg.solve (cyclic_of_seed 77));
+  let r2 = Scg.solve m in
   Alcotest.(check int) "same cost" r1.Scg.cost r2.Scg.cost;
   Alcotest.(check (list int)) "same solution" r1.Scg.solution r2.Scg.solution;
+  Alcotest.(check int) "same lower bound" r1.Scg.lower_bound r2.Scg.lower_bound;
+  Alcotest.(check int) "same steps" r1.Scg.stats.Scg.Stats.subgradient_steps
+    r2.Scg.stats.Scg.Stats.subgradient_steps;
   let other_seed = { Scg.Config.default with Scg.Config.seed = 999 } in
   let r3 = Scg.solve ~config:other_seed m in
   check "other seed still feasible" true (Matrix.covers m r3.Scg.solution)

@@ -106,6 +106,10 @@ let test_roundtrip () =
       Alcotest.(check bool) "requests counted" true
         (daemon_stat stats "received" >= 5))
 
+(* The cache keeps parsed problems only, so every answer — first or
+   repeat, alone or alongside another request for the same bytes — is
+   the one a fresh [Scg.solve] of those bytes gives, as [ucp_solve]
+   answers. *)
 let test_warm_cache () =
   with_daemon "warm" (fun _ socket ->
       let payload = Load.ucp_payload ~seed:5 ~rows:12 ~cols:24 in
@@ -121,6 +125,45 @@ let test_warm_cache () =
       Alcotest.(check (option string)) "same cost"
         (Proto.header "cost" first.Client.headers)
         (Proto.header "cost" again.Client.headers);
+      let t1 =
+        Covering.Instance.to_string
+          (Benchsuite.Registry.matrix (Benchsuite.Registry.find "t1"))
+      in
+      let expect = Scg.solve (Covering.Instance.parse t1) in
+      let answers_as_cli name (r : Client.response) =
+        check_code name Proto.OK r;
+        let body =
+          match Json.of_string r.Client.body with
+          | Ok body -> body
+          | Error e -> Alcotest.failf "%s: unparseable body: %s" name e
+        in
+        let int_field k = Option.bind (Json.member k body) Json.to_int in
+        Alcotest.(check (option int)) (name ^ ": cost") (Some expect.Scg.cost)
+          (int_field "cost");
+        Alcotest.(check (option int)) (name ^ ": lower bound")
+          (Some expect.Scg.lower_bound) (int_field "lower_bound");
+        Alcotest.(check (option (list int))) (name ^ ": solution")
+          (Some expect.Scg.solution)
+          (match Json.member "solution" body with
+          | Some (Json.List cols) -> Some (List.filter_map Json.to_int cols)
+          | _ -> None)
+      in
+      for i = 1 to 3 do
+        answers_as_cli (Printf.sprintf "t1 #%d" i) (solve ~socket Proto.Ucp t1)
+      done;
+      (* two at once: one per worker, solving the same cached problem *)
+      let out = Array.make 2 None in
+      let clients =
+        Array.init 2 (fun k ->
+            Thread.create (fun () -> out.(k) <- Some (solve ~socket Proto.Ucp t1)) ())
+      in
+      Array.iter Thread.join clients;
+      Array.iteri
+        (fun k r ->
+          match r with
+          | Some r -> answers_as_cli (Printf.sprintf "t1 concurrent #%d" k) r
+          | None -> Alcotest.failf "t1 concurrent #%d: no response" k)
+        out;
       let stats = Client.stats ~socket in
       Alcotest.(check bool) "cache hit counted" true
         (daemon_stat stats "cache.hits" >= 1))
