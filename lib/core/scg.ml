@@ -244,14 +244,10 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
               Fixing.sigma ~alpha:config.Config.alpha
                 ~reduced_costs:sg.Subgradient.reduced_costs ~mu:sg.Subgradient.mu ()
             in
-            let candidates =
-              Fixing.best_columns ~sigma ~k:(best_cols + List.length forced_out)
-              |> List.filter (fun j -> not out_mask.(j))
-            in
-            match candidates with
+            match Fixing.best_columns ~sigma ~exclude:out_mask ~k:best_cols with
             | [] -> [] (* every column is forced out: path dead *)
             | cs ->
-              let k = min best_cols (List.length cs) in
+              let k = List.length cs in
               [ List.nth cs (if k <= 1 then 0 else rand k) ]
           end
         in

@@ -18,9 +18,21 @@ type t = {
 }
 
 val compute : Matrix.t -> t
-(** Greedy maximal independent set: repeatedly take the row intersecting
-    the fewest remaining rows (ties: larger cheapest-column cost, then
-    lower index), excluding its neighbours. *)
+(** Greedy maximal independent set: repeatedly take the live row with
+    the fewest live neighbours (rows sharing a column with it), ties
+    broken toward the larger cheapest-column cost and then the lower
+    index, and drop it and its neighbours.  [rows] lists the picks in
+    pick order.
+
+    The tie rule is part of the contract, not a detail: the dual
+    ascent's seed ([Lagrangian.Dual_ascent.run]) and {!Exact}'s
+    limit-bound filter read this exact list, so another maximal set,
+    even one with the same bound, changes their answers.
+
+    Time O(Σ_j |col_j|² + n·|MIS|) for n rows: each row's neighbours
+    are counted once, each row dies once and then walks its columns,
+    and each pick scans the live rows.  Memory O(n + columns) besides
+    the matrix: no neighbour set is stored. *)
 
 val bound_of_rows : Matrix.t -> int list -> int
 (** The bound value of a given independent row set.

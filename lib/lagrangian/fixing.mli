@@ -31,8 +31,11 @@ val sigma :
   ?alpha:float -> reduced_costs:float array -> mu:float array -> unit -> float array
 (** The rating vector σ = c̃ − α·μ (lower is better). *)
 
-val best_columns : sigma:float array -> k:int -> int list
-(** Indices of the [k] lowest-σ columns (ties towards lower index). *)
+val best_columns : sigma:float array -> exclude:bool array -> k:int -> int list
+(** Indices of the [k] lowest-σ columns in (σ, index) order among those
+    [exclude] does not mark [true] (ties towards lower index; nan sorts
+    first, as under [compare]); fewer when fewer are left.  One pass
+    with [k] slots: O(n·k). *)
 
 val pick :
   ?alpha:float ->

@@ -30,10 +30,11 @@ let once ?read_timeout ~socket req ~payload =
          ());
       Proto.read_response (Proto.reader fd))
 
-let request ?(retries = 0) ?(backoff = 0.05) ?read_timeout ~socket req ~payload =
-  let rec go attempt pause =
-    let code, headers, body = once ?read_timeout ~socket req ~payload in
-    if code = Proto.OVERLOAD && attempt <= retries then begin
+let retrying ?(retries = 0) ?(backoff = 0.05) ~overloaded attempt =
+  let rec go n pause =
+    let answer = attempt () in
+    match overloaded answer with
+    | Some headers when n <= retries ->
       let pause =
         match Option.bind (Proto.header "retry-after" headers) float_of_string_opt
         with
@@ -41,11 +42,19 @@ let request ?(retries = 0) ?(backoff = 0.05) ?read_timeout ~socket req ~payload 
         | _ -> pause
       in
       Thread.delay pause;
-      go (attempt + 1) (pause *. 2.)
-    end
-    else { code; headers; body; attempts = attempt }
+      go (n + 1) (pause *. 2.)
+    | _ -> (answer, n)
   in
   go 1 backoff
+
+let request ?retries ?backoff ?read_timeout ~socket req ~payload =
+  let (code, headers, body), attempts =
+    retrying ?retries ?backoff
+      ~overloaded:(fun (code, headers, _) ->
+        if code = Proto.OVERLOAD then Some headers else None)
+      (fun () -> once ?read_timeout ~socket req ~payload)
+  in
+  { code; headers; body; attempts }
 
 let ping ~socket =
   match once ~socket (Proto.control_request Proto.Ping) ~payload:"" with

@@ -30,6 +30,20 @@ val request :
     @raise Proto.Wire_error / [End_of_file] on a garbled or truncated
     response *)
 
+val retrying :
+  ?retries:int ->
+  ?backoff:float ->
+  overloaded:('a -> (string * string) list option) ->
+  (unit -> 'a) ->
+  'a * int
+(** [retrying ~overloaded attempt] runs [attempt] until [overloaded]
+    finds no [OVERLOAD] in its answer ([overloaded] returns that
+    answer's headers when it finds one), at most [retries] (default 0)
+    more times, sleeping between tries exactly as {!request} does.
+    Returns the last answer and the number of attempts.  {!request}
+    retries through it; the load generator retries {!send_raw} through
+    it. *)
+
 val ping : socket:string -> bool
 (** [true] iff a [PING] round-trips with [OK]. *)
 

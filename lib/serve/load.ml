@@ -210,17 +210,24 @@ let run_job ~socket ~retries i job =
         None 1
         (Some (Printf.sprintf "job %d: dropped: %s" i (Printexc.to_string exn))))
   | Raw { bytes; note } -> (
-    match Client.send_raw ~socket bytes with
-    | Some (Proto.PARSE_ERROR, _, _) ->
-      done_ (Unix.gettimeofday () -. t0) (Some Proto.PARSE_ERROR) 1 None
-    | Some (code, _, _) ->
+    (* a full queue sheds the frame before reading a byte of it, so an
+       OVERLOAD says nothing about the frame: send it again *)
+    match
+      Client.retrying ~retries
+        ~overloaded:(function
+          | Some (Proto.OVERLOAD, headers, _) -> Some headers | _ -> None)
+        (fun () -> Client.send_raw ~socket bytes)
+    with
+    | Some (Proto.PARSE_ERROR, _, _), attempts ->
+      done_ (Unix.gettimeofday () -. t0) (Some Proto.PARSE_ERROR) attempts None
+    | Some (code, _, _), attempts ->
       done_
         (Unix.gettimeofday () -. t0)
-        (Some code) 1
+        (Some code) attempts
         (Some
            (Printf.sprintf "job %d (%s): expected PARSE_ERROR or close, got %s"
               i note (Proto.string_of_code code)))
-    | None -> done_ (Unix.gettimeofday () -. t0) None 1 None
+    | None, attempts -> done_ (Unix.gettimeofday () -. t0) None attempts None
     | exception Unix.Unix_error (e, _, _) ->
       done_
         (Unix.gettimeofday () -. t0)

@@ -18,7 +18,10 @@ type job =
       note : string;
           (** what is wrong with it, for failure messages.  Acceptable
               answers: [PARSE_ERROR] or a clean close, never anything
-              else. *)
+              else.  A full queue sheds the frame with [OVERLOAD]
+              before reading it, so {!run} sends it again, [retries]
+              times at most, as it does a framed request; only the
+              final answer is judged. *)
     }
 
 (** {1 Payload generators} *)
@@ -79,9 +82,11 @@ type report = {
 val run :
   socket:string -> ?concurrency:int -> ?retries:int -> job list -> report
 (** Drive the jobs through [concurrency] (default 4) client threads.
-    [retries] (default 0) is passed to {!Client.request} — with 0 an
-    [OVERLOAD] is recorded as the job's outcome; with retries the job
-    backs off and tries again, and only the final code is recorded.
+    [retries] (default 0) bounds the [OVERLOAD] retries of every job,
+    framed ({!Client.request}) or raw ({!Client.retrying} around
+    {!Client.send_raw}) — with 0 an [OVERLOAD] is recorded as the
+    job's outcome; with retries the job backs off and tries again, and
+    only the final code is recorded.
     Connection-level surprises on framed jobs (the daemon dropped us)
     are recorded in [unexpected], never raised. *)
 

@@ -8,6 +8,9 @@ module Reduce_oracle = Reduce_oracle
 (* the tabulation the implicit prime generator is tested against *)
 module Qm = Qm
 
+(* the hash-table greedy the flat-array MIS bound is tested against *)
+module Mis_oracle = Mis_oracle
+
 (* The sort-based pruning [Matrix.irredundant] replaced, kept as its
    test oracle: sort the cover's columns by cost descending, ties by
    index descending, on every call, then drop each redundant one in that

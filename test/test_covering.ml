@@ -282,6 +282,84 @@ let prop_mis_below_optimum =
       Mis_bound.is_independent m mis.Mis_bound.rows
       && mis.Mis_bound.bound <= Matrix.cost_of m (Exact.brute_force m))
 
+(* The flat-array greedy against the hash-table greedy it replaced: the
+   same rows in the same pick order, and the same bound.  The dual-ascent
+   seed and Exact's limit-bound filter read that exact list. *)
+let mis_agrees_with_oracle name m =
+  let got = Mis_bound.compute m and want = TS.Mis_oracle.compute m in
+  Alcotest.(check (list int)) (name ^ ": rows") want.Mis_bound.rows got.Mis_bound.rows;
+  Alcotest.(check int) (name ^ ": bound") want.Mis_bound.bound got.Mis_bound.bound
+
+(* one rule per case; costs are per column, rows list their columns *)
+let test_mis_tie_rules () =
+  let expect name (rows, bound) ?cost ~n_cols row_lists =
+    let m = Matrix.create ?cost ~n_cols row_lists in
+    let r = Mis_bound.compute m in
+    Alcotest.(check (list int)) (name ^ ": rows") rows r.Mis_bound.rows;
+    Alcotest.(check int) (name ^ ": bound") bound r.Mis_bound.bound;
+    mis_agrees_with_oracle name m
+  in
+  (* row 3 has one neighbour; row 0 has two, a lower index and a larger
+     cheapest cost, and still waits *)
+  expect "fewer live neighbours" ([ 3; 0 ], 10) ~cost:[| 9; 1; 1 |] ~n_cols:3
+    [ [ 0 ]; [ 0; 1 ]; [ 0; 2 ]; [ 1 ] ];
+  (* rows 0 and 2 both have one neighbour; row 2's cheapest is larger *)
+  expect "larger cheapest cost" ([ 2; 0 ], 5) ~cost:[| 1; 4 |] ~n_cols:2
+    [ [ 0 ]; [ 0; 1 ]; [ 1 ] ];
+  expect "lower index" ([ 0; 2 ], 2) ~n_cols:2 [ [ 0 ]; [ 0; 1 ]; [ 1 ] ];
+  (* row 0 goes first and kills rows 1 and 2.  Row 7 started with three
+     neighbours (rows 1, 2, 3) and now has one live one; rows 3–6 have
+     two or more.  A greedy on the starting degrees would take row 3 *)
+  expect "live degrees" ([ 0; 7; 4 ], 3) ~n_cols:7
+    [ [ 0 ]; [ 0; 1 ]; [ 0; 2 ]; [ 3; 4 ]; [ 5 ]; [ 4; 5 ]; [ 5; 6 ]; [ 1; 2; 3 ] ]
+
+let prop_mis_matches_oracle =
+  QCheck.Test.make ~name:"MIS = hash-table oracle on Randucp families" ~count:120
+    TS.arb_seed (fun seed ->
+      let module G = Benchsuite.Randucp in
+      let name = Printf.sprintf "mis-%d" seed in
+      let v k = seed / 6 mod k in
+      let m =
+        match seed mod 6 with
+        | 0 ->
+          G.cyclic ~name ~n_rows:(10 + v 50) ~n_cols:(8 + v 30) ~k:(2 + v 3)
+            ~cost_spread:(v 4) ()
+        | 1 ->
+          G.dense_cyclic ~name ~n_rows:(10 + v 30) ~n_cols:(10 + v 20)
+            ~density:(0.2 +. (0.05 *. float_of_int (v 5))) ~cost_spread:(v 3) ()
+        | 2 -> G.powerlaw ~name ~n_rows:(20 + v 60) ~n_cols:(20 + v 80) ()
+        | 3 ->
+          let decoys = 3 + v 3 in
+          fst
+            (G.planted ~name ~blocks:(2 + v 5) ~rows_per_block:(decoys + v 4)
+               ~decoys_per_block:decoys ~cross:(v 5) ())
+        | 4 ->
+          G.multi_component ~name ~parts:(2 + v 3) ~rows_per_part:(6 + v 10)
+            ~cols_per_part:(5 + v 8) ~cost_spread:(v 4) ()
+        | _ -> G.vertex_cover ~name ~n_vertices:(4 + v 27) ~n_edges:(4 + v 57) ()
+      in
+      mis_agrees_with_oracle name m;
+      true)
+
+(* the registry's difficult, dense and challenging inputs, their cyclic
+   cores and each core's components: the matrices the solvers call the
+   MIS on.  The scale tier is left out: the oracle alone takes over a
+   second per call on scale-powerlaw *)
+let test_mis_registry_sweep () =
+  let module R = Benchsuite.Registry in
+  List.iter
+    (fun (inst : R.instance) ->
+      let m = R.matrix inst in
+      mis_agrees_with_oracle inst.R.name m;
+      let core = (Reduce2.cyclic_core m).Reduce.core in
+      if not (Matrix.is_empty core) then begin
+        mis_agrees_with_oracle (inst.R.name ^ "/core") core;
+        List.iteri
+          (fun k c -> mis_agrees_with_oracle (Printf.sprintf "%s/part%d" inst.R.name k) c)
+          (Partition.split core)
+      end)
+    (R.difficult () @ R.dense () @ R.challenging ())
+
 let prop_greedy_feasible =
   QCheck.Test.make ~name:"greedy covers, irredundant, >= optimum" ~count:150 TS.arb_seed
     (fun seed ->
@@ -932,6 +1010,9 @@ let () =
           Alcotest.test_case "mis fig1" `Quick test_mis_on_fig1;
           Alcotest.test_case "mis c5" `Quick test_mis_on_c5;
           QCheck_alcotest.to_alcotest prop_mis_below_optimum;
+          Alcotest.test_case "mis tie rules" `Quick test_mis_tie_rules;
+          QCheck_alcotest.to_alcotest prop_mis_matches_oracle;
+          Alcotest.test_case "mis registry sweep" `Quick test_mis_registry_sweep;
           QCheck_alcotest.to_alcotest prop_greedy_feasible;
           QCheck_alcotest.to_alcotest prop_exchange_no_worse;
           Alcotest.test_case "greedy infeasible" `Quick test_greedy_infeasible;

@@ -307,10 +307,37 @@ let test_fixing_sigma_and_pick () =
   let sigma = L.Fixing.sigma ~reduced_costs:rc ~mu () in
   (* σ = c̃ − 2μ *)
   Alcotest.(check (float 1e-9)) "sigma0" (-1.3) sigma.(0);
-  let best = L.Fixing.best_columns ~sigma ~k:2 in
+  let best = L.Fixing.best_columns ~sigma ~exclude:(Array.make 5 false) ~k:2 in
   Alcotest.(check (list int)) "two best" [ 3; 0 ] best;
   let j = L.Fixing.pick ~best_cols:1 ~rand:(fun _ -> 0) m ~reduced_costs:rc ~mu in
   Alcotest.(check int) "deterministic pick" 3 j
+
+(* What [Scg.construct] did before [best_columns] took a mask: sort
+   every column by (σ, j) under the polymorphic compare, take the first
+   [k] plus one per excluded column, drop the excluded ones, and read
+   the first [k] of what is left. *)
+let best_columns_by_sort ~sigma ~exclude ~k =
+  let n = Array.length sigma in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Stdlib.compare (sigma.(a), a) (sigma.(b), b)) order;
+  let n_out = Array.fold_left (fun acc out -> if out then acc + 1 else acc) 0 exclude in
+  Array.to_list (Array.sub order 0 (min (k + n_out) n))
+  |> List.filter (fun j -> not exclude.(j))
+  |> List.filteri (fun i _ -> i < k)
+
+let prop_best_columns_match_sort =
+  QCheck.Test.make ~name:"best_columns = sort, filter, take" ~count:300 TS.arb_seed
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = Random.State.int rng 40 in
+      (* few distinct values, so most columns tie on σ *)
+      let values = [| -1.; -0.; 0.; 0.5; 2.; nan; infinity; neg_infinity |] in
+      let sigma =
+        Array.init n (fun _ -> values.(Random.State.int rng (Array.length values)))
+      in
+      let exclude = Array.init n (fun _ -> Random.State.int rng 3 = 0) in
+      let k = 1 + Random.State.int rng 8 in
+      L.Fixing.best_columns ~sigma ~exclude ~k = best_columns_by_sort ~sigma ~exclude ~k)
 
 let test_fixing_promising () =
   let m = TS.c5_matrix () in
@@ -675,5 +702,6 @@ let () =
         [
           Alcotest.test_case "sigma and pick" `Quick test_fixing_sigma_and_pick;
           Alcotest.test_case "promising" `Quick test_fixing_promising;
+          QCheck_alcotest.to_alcotest prop_best_columns_match_sort;
         ] );
     ]

@@ -302,7 +302,7 @@ let test_overload_shed () =
   with_daemon "overload"
     ~configure:(fun c ->
       { c with Daemon.workers = 1; queue_depth = depth; read_timeout = 3.0 })
-    (fun _ socket ->
+    (fun d socket ->
       let connect_idle () =
         let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
         Unix.connect fd (ADDR_UNIX socket);
@@ -328,7 +328,35 @@ let test_overload_shed () =
       | Some h -> Alcotest.(check bool) "retry-after parses" true
           (float_of_string_opt h <> None)
       | None -> Alcotest.fail "OVERLOAD without retry-after");
+      (* a malformed frame meets the same full queue: the load generator
+         must retry its OVERLOAD like a framed request's, and judge only
+         the answer the frame gets once the queue has room *)
+      let bytes, note =
+        List.find (fun (_, note) -> note = "unknown verb") Load.raw_frames
+      in
+      let raw_report = ref None in
+      let raw_lane =
+        Thread.create
+          (fun () ->
+            raw_report :=
+              Some (Load.run ~socket ~retries:8 [ Load.Raw { bytes; note } ]))
+          ()
+      in
+      (* release the squatters only once that first attempt was shed *)
+      let rec wait_shed n =
+        if daemon_stat (Daemon.stats_json d) "shed" < 2 && n > 0 then begin
+          Unix.sleepf 0.02;
+          wait_shed (n - 1)
+        end
+      in
+      wait_shed 500;
       List.iter Unix.close idle;
+      Thread.join raw_lane;
+      (match !raw_report with
+      | Some rep ->
+        Alcotest.(check (list string)) "raw frame: unexpected" [] rep.Load.unexpected;
+        Alcotest.(check bool) "raw frame: retried" true (rep.Load.retries >= 1)
+      | None -> Alcotest.fail "raw lane produced no report");
       (* with the squatters gone (and their read timeouts burnt), a
          retried request gets through *)
       let r =
