@@ -1,6 +1,6 @@
 # Convenience wrappers; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke bench-par bench-dense bench-serve bench-zdd bench-scale bench-check-dense bench-check-serve bench-check-zdd bench-check-par bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
+.PHONY: all build test bench bench-quick bench-smoke bench-dense bench-serve bench-zdd bench-scale bench-check-dense bench-check-serve bench-check-zdd bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
 
 all: build
 
@@ -24,13 +24,6 @@ bench-quick:
 # (--no-csv: partial runs must not clobber a full run's bench_results.csv)
 bench-smoke:
 	dune exec bench/main.exe -- --no-csv --table easy
-
-# sequential-vs-parallel comparison at both wiring levels (components of
-# block-diagonal composites, then whole-instance batches), leaving
-# BENCH_par.json behind; JOBS=0 means the machine's recommended count
-JOBS ?= 0
-bench-par:
-	dune exec bench/main.exe -- --no-csv --table par --jobs $(JOBS)
 
 # dense bit-slice kernels vs the sparse lists: registry-wide identity
 # sweep plus kernel timings on the dense+difficult suites, leaving
@@ -75,11 +68,6 @@ bench-check-serve:
 
 bench-check-zdd:
 	dune exec bench/main.exe -- --check bench/BASELINE_zdd.json
-
-# parallel determinism + speedup floors (>= 1.0x on multicore hosts,
-# 0.95x single-core noise allowance; see bench/BASELINE_par.json)
-bench-check-par:
-	dune exec bench/main.exe -- --check bench/BASELINE_par.json
 
 # scale gate: streaming round-trip identity, planted certificates,
 # fold-memory ratios and the routing booleans against the committed

@@ -513,171 +513,14 @@ let run_pricing () =
   hline 86
 
 (* ------------------------------------------------------------------ *)
-(* Component & batch parallelism (BENCH_par.json)                     *)
+(* Dense bit-slice kernels (BENCH_dense.json)                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Block-diagonal composition: the natural workload for the component
-   solver.  Column indices of each part are offset past the previous
-   parts', so the connected components of the result are exactly the
-   parts — a difficult multi-component cyclic core by construction. *)
-let block_diagonal parts =
-  let n_cols = List.fold_left (fun a m -> a + Matrix.n_cols m) 0 parts in
-  let cost = Array.make n_cols 1 in
-  let rows = ref [] in
-  let off = ref 0 in
-  List.iter
-    (fun m ->
-      for j = 0 to Matrix.n_cols m - 1 do
-        cost.(!off + j) <- Matrix.cost m j
-      done;
-      for i = 0 to Matrix.n_rows m - 1 do
-        rows :=
-          Array.to_list (Array.map (fun j -> !off + j) (Matrix.row m i)) :: !rows
-      done;
-      off := !off + Matrix.n_cols m)
-    parts;
-  Matrix.create ~cost ~n_cols (List.rev !rows)
 
 let same_scg_result (a : Scg.result) (b : Scg.result) =
   a.Scg.solution = b.Scg.solution
   && a.Scg.cost = b.Scg.cost
   && a.Scg.lower_bound = b.Scg.lower_bound
   && a.Scg.proven_optimal = b.Scg.proven_optimal
-
-(* Sequential vs parallel at both wiring levels, with the determinism
-   contract checked on every row: same covers, costs and bounds whatever
-   the worker count.  Speedups depend on how many cores the host
-   actually grants (recorded as "cores"); on a single-core box they sit
-   near 1.0x and the identity checks are the interesting part. *)
-let run_par ~jobs () =
-  let module J = Telemetry.Json in
-  let cores = Scg.Par.default_jobs () in
-  pr "@.== Parallel solve — sequential vs --jobs %d (%d core%s visible) ==@." jobs
-    cores
-    (if cores = 1 then "" else "s");
-  pr "component level: block-diagonal compositions of the difficult suite;@.";
-  pr "batch level: the difficult suite itself, one instance per worker@.";
-  let difficult =
-    List.map (fun i -> (i.Registry.name, Registry.matrix i)) (Registry.difficult ())
-  in
-  let pick names = List.map (fun n -> List.assoc n difficult) names in
-  let composed =
-    [
-      ("t1+exam", pick [ "t1"; "exam" ]);
-      ("bench1+ex5+test4+prom2", pick [ "bench1"; "ex5"; "test4"; "prom2" ]);
-      ("difficult-x7", List.map snd difficult);
-    ]
-  in
-  hline 86;
-  pr "%-24s %5s %6s | %9s %9s %8s | %s@." "instance" "comps" "cost" "seq(s)"
-    "par(s)" "speedup" "same";
-  hline 86;
-  let rows = ref [] in
-  let all_same = ref true in
-  List.iter
-    (fun (name, parts) ->
-      let m = block_diagonal parts in
-      let n_comp = List.length (Covering.Partition.components m) in
-      (* compact before each leg: these are single-shot multi-second
-         timings, and whichever leg runs later would otherwise pay the
-         major-GC debt of everything timed before it *)
-      Gc.compact ();
-      let seq, seq_s = timed (fun () -> Scg.solve m) in
-      Gc.compact ();
-      let par, par_s =
-        timed (fun () -> Scg.solve ~config:{ Scg.Config.default with jobs } m)
-      in
-      let same = same_scg_result seq par in
-      if not same then all_same := false;
-      let speedup = if par_s > 0. then seq_s /. par_s else Float.nan in
-      pr "%-24s %5d %6s | %9.3f %9.3f %7.2fx | %s@." name n_comp
-        (starred seq.Scg.cost seq.Scg.proven_optimal)
-        seq_s par_s speedup
-        (if same then "yes" else "NO");
-      csv_emit
-        [
-          "par"; name; "scg"; string_of_int par.Scg.cost;
-          string_of_bool par.Scg.proven_optimal; string_of_int par.Scg.lower_bound;
-          Printf.sprintf "%.4f" par_s;
-          Printf.sprintf "seq=%.4f speedup=%.2f jobs=%d" seq_s speedup jobs;
-        ];
-      rows :=
-        J.Obj
-          [
-            ("name", J.String name);
-            ("components", J.Int n_comp);
-            ("cost", J.Int seq.Scg.cost);
-            ("identical", J.Bool same);
-            ("sequential_s", J.Float seq_s);
-            ("parallel_s", J.Float par_s);
-            ("speedup", J.Float speedup);
-          ]
-        :: !rows)
-    composed;
-  hline 86;
-  (* batch level: whole instances fan out over one pool, as
-     `ucp_solve --jobs N FILE...` does *)
-  let batch = Array.of_list difficult in
-  let solve (_, m) = Scg.solve m in
-  Gc.compact ();
-  let seq_rs, batch_seq_s = timed (fun () -> Array.map solve batch) in
-  let par_rs, batch_par_s =
-    (* same wiring as `ucp_solve --jobs N FILE...`: instances below the
-       work-size threshold solve inline, and when fewer than two big ones
-       remain no pool is spun up at all (an idle domain taxes every
-       minor collection, so small batches must never pay for one) *)
-    let big (_, m) = Covering.Matrix.n_rows m >= Scg.Par.default_min_rows in
-    let n_big =
-      Array.fold_left (fun acc it -> if big it then acc + 1 else acc) 0 batch
-    in
-    Gc.compact ();
-    timed (fun () ->
-        if n_big > 1 then
-          Scg.Par.Pool.with_pool ~jobs (fun pool ->
-              Scg.Par.map_if ~pool ~big solve batch)
-        else Array.map solve batch)
-  in
-  let batch_same =
-    Array.length seq_rs = Array.length par_rs
-    && Array.for_all2 same_scg_result seq_rs par_rs
-  in
-  if not batch_same then all_same := false;
-  let batch_speedup =
-    if batch_par_s > 0. then batch_seq_s /. batch_par_s else Float.nan
-  in
-  pr "batch (difficult x%d): seq %.3fs, par %.3fs, speedup %.2fx, results %s@."
-    (Array.length batch) batch_seq_s batch_par_s batch_speedup
-    (if batch_same then "identical" else "MISMATCHED");
-  let json =
-    J.Obj
-      [
-        ("table", J.String "par");
-        ("jobs", J.Int jobs);
-        ("cores", J.Int cores);
-        ("identical_results", J.Bool !all_same);
-        ("component", J.List (List.rev !rows));
-        ( "batch",
-          J.Obj
-            [
-              ("suite", J.String "difficult");
-              ("instances", J.Int (Array.length batch));
-              ("identical", J.Bool batch_same);
-              ("sequential_s", J.Float batch_seq_s);
-              ("parallel_s", J.Float batch_par_s);
-              ("speedup", J.Float batch_speedup);
-            ] );
-      ]
-  in
-  let oc = open_out "BENCH_par.json" in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  pr "wrote BENCH_par.json@.";
-  if not !all_same then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Dense bit-slice kernels (BENCH_dense.json)                          *)
-(* ------------------------------------------------------------------ *)
 
 let matrices_identical a b =
   Matrix.n_rows a = Matrix.n_rows b
@@ -1672,9 +1515,6 @@ let run_check ~tolerance ~reduce_reps baseline_path =
       let path = "BENCH_scale.json" in
       run_scale ~json_path:path ();
       path
-    | _, Some "par" ->
-      run_par ~jobs:(Scg.Par.default_jobs ()) ();
-      "BENCH_par.json"
     | _, Some table_id ->
       (match table_id with
       | "table1" -> run_table1 ()
@@ -1704,7 +1544,7 @@ let run_check ~tolerance ~reduce_reps baseline_path =
 (* ------------------------------------------------------------------ *)
 
 let table_names =
-  [ "fig1"; "easy"; "1"; "2"; "3"; "4"; "ablation"; "dense"; "par"; "serve";
+  [ "fig1"; "easy"; "1"; "2"; "3"; "4"; "ablation"; "dense"; "serve";
     "zdd"; "scale"; "methods"; "pricing"; "timing"; "all" ]
 
 let usage () =
@@ -1713,7 +1553,7 @@ let usage () =
     \       [--timing] [--exact-nodes-difficult N] [--exact-nodes-challenging N]@,\
     \       [--csv FILE] [--no-csv] [--reduce-reps N]@,\
     \       [--dense-json FILE] [--serve-json FILE] [--zdd-json FILE] [--scale-json FILE]@,\
-    \       [--jobs N] [--check BASELINE.json] [--check-tolerance T]@."
+    \       [--check BASELINE.json] [--check-tolerance T]@."
     (String.concat "|" table_names);
   exit 2
 
@@ -1732,8 +1572,6 @@ let () =
   let serve_json = ref "BENCH_serve.json" in
   let zdd_json = ref "BENCH_zdd.json" in
   let scale_json = ref "BENCH_scale.json" in
-  (* 0 = the machine's recommended domain count, resolved at use *)
-  let jobs = ref 0 in
   let check = ref None in
   let check_tolerance = ref None in
   let rec parse = function
@@ -1778,9 +1616,6 @@ let () =
     | "--scale-json" :: path :: rest ->
       scale_json := path;
       parse rest
-    | "--jobs" :: n :: rest ->
-      jobs := int_of_string n;
-      parse rest
     | "--check" :: path :: rest ->
       check := Some path;
       parse rest
@@ -1813,8 +1648,6 @@ let () =
   if want "4" then run_table4 ~max_nodes:!nodes_challenging ();
   if want "ablation" then run_ablation ();
   if want "dense" then run_dense ~reps:!reduce_reps ~json_path:!dense_json ();
-  if want "par" then
-    run_par ~jobs:(if !jobs <= 0 then Scg.Par.default_jobs () else !jobs) ();
   if want "serve" then run_serve ~json_path:!serve_json ();
   if want "zdd" then run_zdd ~json_path:!zdd_json ();
   if want "scale" then run_scale ~json_path:!scale_json ();

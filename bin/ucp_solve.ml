@@ -7,9 +7,8 @@
    greedy family, or the espresso-style baseline (PLA inputs only).
 
    Several inputs may be given at once; `--jobs N` then solves them
-   concurrently on N worker domains (with a single input it parallelises
-   over cyclic-core components instead).  Reports are printed in input
-   order whatever finished first.
+   concurrently on N worker domains.  Reports are printed in input order
+   whatever finished first.
 
    Exit codes (see also the man page):
      0  solved (answer printed)
@@ -524,7 +523,7 @@ let run_batch ~budget ~jobs ~config solver input_kind paths output multi
     match inputs.(i) with
     | _, Error _ -> false
     | _, Ok (`Matrix m) ->
-      Covering.Matrix.n_rows m >= Scg.Par.default_min_rows
+      Covering.Matrix.n_rows m >= Par.default_min_rows
     | _, Ok (`Spec _ | `Pla _) -> true
   in
   let n_big =
@@ -532,8 +531,8 @@ let run_batch ~budget ~jobs ~config solver input_kind paths output multi
   in
   let results =
     if jobs > 1 && n_big > 1 then
-      Scg.Par.Pool.with_pool ~jobs (fun pool ->
-          Scg.Par.map_if ~pool ~big solve_one indices)
+      Par.Pool.with_pool ~jobs (fun pool ->
+          Par.map_if ~pool ~big solve_one indices)
     else Array.map solve_one indices
   in
   let any_rejected = ref false and any_infeasible = ref false and any_trip = ref false in
@@ -573,21 +572,16 @@ let run list solver input_kind paths output multi max_nodes timeout zdd_nodes
     2
   end
   else
-    let jobs = if jobs = 0 then Scg.Par.default_jobs () else jobs in
+    let jobs = if jobs = 0 then Par.default_jobs () else jobs in
     (* the implicit phase keeps grinding until BOTH guards are met
        (rows <= MaxR and support <= MaxC), so raising MaxR alone would
        never skip it: lift the column guard alongside *)
     let config =
       let d = Scg.Config.default in
       match max_rows_implicit with
-      | None -> { d with jobs }
+      | None -> d
       | Some n ->
-        {
-          d with
-          jobs;
-          max_rows_implicit = n;
-          max_cols_implicit = max (2 * n) d.max_cols_implicit;
-        }
+        { d with max_rows_implicit = n; max_cols_implicit = max (2 * n) d.max_cols_implicit }
     in
     match paths with
     | [] ->
@@ -656,7 +650,8 @@ let max_steps_arg =
   Arg.(value & opt (some int) None
        & info [ "max-steps" ] ~docv:"N"
            ~doc:"Budget on subgradient/dual-ascent iterations across the whole \
-                 run.  Exhaustion behaves like --timeout.")
+                 run.  Exhaustion behaves like --timeout.  With several inputs \
+                 each instance gets its own budget of N.")
 
 let max_rows_implicit_arg =
   Arg.(value & opt (some int) None
@@ -711,13 +706,13 @@ let stats_json_arg =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains.  With several inputs, solve them \
-                 concurrently, $(docv) at a time, reports still printed in \
-                 input order; with a single input, solve the cyclic-core \
-                 components of the scg solver concurrently.  $(docv)$(b,=0) \
-                 picks the machine's recommended domain count.  Covers, \
-                 costs and bounds are identical to $(b,--jobs 1); only \
-                 where a resource budget trips may differ.")
+           ~doc:"Worker domains for a batch: with several inputs, solve \
+                 them concurrently, $(docv) at a time, reports still printed \
+                 in input order.  A single input is always solved on the \
+                 calling domain.  $(docv)$(b,=0) picks the machine's \
+                 recommended domain count.  Covers, costs and bounds are \
+                 identical to $(b,--jobs 1) unless a $(b,--timeout) deadline \
+                 cuts an instance short.")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.")
 

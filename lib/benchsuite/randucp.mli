@@ -128,6 +128,6 @@ val multi_component :
 (** Block-diagonal union of [parts] independent {!cyclic} instances
     (row degree [k], default 3; [cost_spread] as in {!cyclic}), each
     seeded from ["name.partN"].  The connected components are exactly
-    the parts, so {!Covering.Partition} should split it and [--jobs p]
-    should scale near-linearly — sized for the partition/parallel path.
+    the parts, so {!Covering.Partition} should split it into [parts]
+    components — sized for the component split.
     @raise Invalid_argument when [parts < 1]. *)

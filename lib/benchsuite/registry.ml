@@ -185,7 +185,8 @@ let challenging_instances =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Scale: 5 adversarial large instances for the streaming/parallel path *)
+(* Scale: 5 adversarial large instances for the streaming path and the
+   component split *)
 (* ------------------------------------------------------------------ *)
 
 (* Each instance stresses one subsystem at a size where asymptotics, not

@@ -171,9 +171,7 @@ let tick t site =
    the batch fires" is "the last tick at each counter does not fire",
    and the clock is read at most once, when the batch crosses a
    multiple of [check_every] as the one-by-one ticks would.  The
-   differences are written [k > limit - count], which cannot overflow
-   and also refuses when [absorb] has already carried a count past its
-   limit. *)
+   differences are written [k > limit - count], which cannot overflow. *)
 let charge t batch =
   if List.exists (fun (_, k) -> k < 0) batch then
     invalid_arg "Budget.charge: negative tick count";
@@ -211,12 +209,12 @@ let charge t batch =
       end
     end
 
-(* Parallel solving: one forked child per worker.  Limits are immutable
+(* Batch solving: one forked child per instance.  Limits are immutable
    and shared — in particular [deadline_at] is an absolute instant on the
    shared wall clock, so every domain races the same deadline — while the
    tick counters are per-child (each domain meters its own work without
    contending on shared mutable state).  A child created after the parent
-   tripped starts tripped, so late workers wind down immediately. *)
+   tripped starts tripped, so late instances wind down immediately. *)
 let fork t =
   match t.limits with
   | None -> none
@@ -229,20 +227,6 @@ let fork t =
       fault_ticks = 0;
       trip = t.trip;
     }
-
-(* Fold a child's outcome back into the parent.  Tick totals accumulate;
-   the first trip in absorption order wins, which callers make
-   deterministic by absorbing in component order.  Guarded on the parent
-   being active so the shared [none] is never mutated. *)
-let absorb t child =
-  match t.limits with
-  | None -> ()
-  | Some _ ->
-    t.ticks <- t.ticks + child.ticks;
-    t.node_ticks <- t.node_ticks + child.node_ticks;
-    t.step_ticks <- t.step_ticks + child.step_ticks;
-    t.fault_ticks <- t.fault_ticks + child.fault_ticks;
-    if t.trip = None then t.trip <- child.trip
 
 let pp_site ppf s = Fmt.string ppf (string_of_site s)
 

@@ -150,24 +150,17 @@ val ticks : t -> int
 (** Total ticks so far (0 for {!none}). *)
 
 val fork : t -> t
-(** [fork g] is a child governor for one parallel worker: it shares
-    [g]'s immutable limits — the wall-clock deadline is an {e absolute}
-    instant, so every domain checks the same deadline on the shared
-    clock — but owns fresh tick counters, so domains meter their work
-    without touching shared mutable state.  If [g] has already tripped
-    the child starts tripped.  [fork none] is {!none}.
+(** [fork g] is a child governor for one instance of a batch: it
+    shares [g]'s immutable limits — the wall-clock deadline is an
+    {e absolute} instant, so every domain checks the same deadline on
+    the shared clock — but owns fresh tick counters, so domains meter
+    their work without touching shared mutable state.  If [g] has
+    already tripped the child starts tripped.  [fork none] is {!none}.
 
-    Note the node/step budgets thereby become per-worker under
-    parallelism, whereas a sequential run spends them globally; only
-    the deadline is a shared resource.  This is why budget-exhausted
-    anytime answers may differ between jobs counts (DESIGN.md §10). *)
-
-val absorb : t -> t -> unit
-(** [absorb g child] folds a forked child back into [g]: tick totals
-    accumulate and, if [g] has not tripped yet, the child's trip (if
-    any) becomes [g]'s.  Absorb children in a deterministic order
-    (component index) so the reported trip is reproducible.  No-op on
-    {!none}. *)
+    The node/step budgets thereby apply per instance; only the deadline
+    and the interrupt flag are shared (DESIGN.md §10).  A child's ticks
+    and trip are its own: forking and ticking a child never change
+    [g]'s. *)
 
 val remaining_seconds : t -> float option
 (** Time left before the deadline, if one was set. *)

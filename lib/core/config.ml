@@ -12,7 +12,6 @@ type t = {
   use_penalties : bool;
   warm_start : bool;
   seed : int;
-  jobs : int;
   dense_threshold : int;
   zdd_initial_size : int;
   zdd_gc_threshold : int;
@@ -35,7 +34,6 @@ let default =
     use_penalties = true;
     warm_start = true;
     seed = 0x5C6;
-    jobs = 1;
     dense_threshold = Covering.Dense.default_threshold;
     zdd_initial_size = Zdd.default_initial_size;
     zdd_gc_threshold = Zdd.default_gc_threshold;
@@ -43,12 +41,3 @@ let default =
     subgradient = Lagrangian.Subgradient.default_config;
   }
 
-let pp ppf c =
-  Fmt.pf ppf
-    "@[<v>MaxR=%d NumIter=%d BestCol=%d+%d DualPen=%d alpha=%g c_hat=%g mu_hat=%g \
-     gimpel=%b seed=%d jobs=%d dense=%d \
-     zdd_table=%d zdd_gc=%d chain=%b@]"
-    c.max_rows_implicit c.num_iter c.best_col_start c.best_col_growth
-    c.dual_pen_max_cols c.alpha c.c_hat c.mu_hat c.use_gimpel
-    c.seed c.jobs c.dense_threshold c.zdd_initial_size
-    c.zdd_gc_threshold c.zdd_chain_reduction

@@ -36,15 +36,6 @@ type t = {
       (** reuse the previous subproblem's multipliers as λ₀/μ₀ (§3.2,
           default true).  Ablation knob. *)
   seed : int;  (** RNG seed for the randomised runs (default 0x5C6). *)
-  jobs : int;
-      (** worker count for component parallelism, the solver's only
-          parallelism setting: cyclic-core components are solved on a
-          {!Par.Pool} of this many domains, created for the component
-          stage (default 1 = the exact legacy sequential path, no
-          domains spawned).  Components below {!Par.default_min_rows}
-          rows run inline on the caller, and when fewer than two reach
-          it no pool is spun up at all.  Covers, costs and status are
-          bit-identical for every [jobs] value; see DESIGN.md §10. *)
   dense_threshold : int;
       (** adaptive bit-slice dispatch: matrices with
           [rows·cols <= dense_threshold] (and density ≥ 1/word) get a
@@ -57,8 +48,8 @@ type t = {
   zdd_initial_size : int;
       (** initial unique-table size for per-domain ZDD/BDD managers
           (default {!Zdd.default_initial_size} = 4_096).  Applied via
-          [Zdd.configure]/[Bdd.configure] at the top of every solve, so
-          worker domains spawned for parallel components inherit it. *)
+          [Zdd.configure]/[Bdd.configure] at the top of every solve,
+          so every domain's manager sees it. *)
   zdd_gc_threshold : int;
       (** allocation budget between automatic ZDD garbage collections
           during implicit reduction (default
@@ -74,5 +65,3 @@ type t = {
 }
 
 val default : t
-
-val pp : Format.formatter -> t -> unit

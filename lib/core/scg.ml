@@ -3,7 +3,6 @@ module Stats = Stats
 module Budget = Budget
 module Telemetry = Telemetry
 module Warm = Warm
-module Par = Par
 module Matrix = Covering.Matrix
 module Reduce = Covering.Reduce
 module Reduce2 = Covering.Reduce2
@@ -301,10 +300,8 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
   descend space.Core_space.core [] 0 ~first:true;
   !root_lb
 
-(* Everything one component contributes to the merged answer.  Both the
-   sequential and the parallel paths produce these records and merge them
-   identically (in component order), which is the heart of the
-   determinism argument in DESIGN.md §10. *)
+(* Everything one component contributes to the merged answer, folded
+   in component order. *)
 type comp_result = {
   comp_ids : int list;
   comp_lb : int;
@@ -320,9 +317,9 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
   for j = 0 to Matrix.n_cols input - 1 do
     if Matrix.col_id input j <> j then invalid_arg "Scg.solve: matrix already re-indexed"
   done;
-  (* engine-wide manager tunables: shared atomics, so worker domains
-     spawned below inherit them and a running manager re-reads the GC
-     threshold at its next safe point *)
+  (* engine-wide manager tunables: shared atomics, so every domain's
+     manager sees them and a running manager re-reads the GC threshold
+     at its next safe point *)
   Zdd.configure ~initial_size:config.zdd_initial_size
     ~gc_threshold:config.zdd_gc_threshold
     ~chain_reduction:config.zdd_chain_reduction ();
@@ -408,13 +405,10 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
     (* the oldest reduction of all (§2, "partitioning"): disconnected
        blocks of the cyclic core are independent subproblems, solved
        separately — their bounds add up, so optimality proofs compose.
-       With [jobs > 1] they are also solved concurrently; the RNG is
-       seeded per component in both paths, so the parallel schedule
-       cannot change any component's search and covers/costs/status are
-       bit-identical to the sequential run. *)
+       The RNG is seeded per component, so no component's search
+       depends on the components solved before it. *)
     let components = Array.of_list (Covering.Partition.split core) in
-    let n_comp = Array.length components in
-    let solve_component ~budget ~telemetry ~component sub =
+    let solve_component ~component sub =
       let rng = Random.State.make [| config.seed; component |] in
       let rand bound = Random.State.int rng bound in
       let steps = ref 0 and fixes = ref 0 and pen = ref 0 in
@@ -461,60 +455,12 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
         comp_best_iteration = !best_iteration;
       }
     in
-    let sequential () =
-      (* the legacy path: parent budget and collector used directly, so
-         traces, budget tick accounting and the emitted record stream are
-         exactly those of the pre-parallel solver *)
+    let results =
       Array.mapi
         (fun component sub ->
           Telemetry.span telemetry ~index:component "component" (fun () ->
-              solve_component ~budget ~telemetry ~component sub))
+              solve_component ~component sub))
         components
-    in
-    let parallel pool =
-      (* per-worker ownership: each component gets a forked governor
-         (shared absolute deadline, private tick counters) and a forked
-         collector; merging back in component order keeps trip selection
-         and merged summaries deterministic.  Each worker domain builds
-         its ZDDs in its own domain-local manager.  Components below
-         [Par.default_min_rows] rows run inline on the caller — they
-         still get forked budget/telemetry, so the merged records are
-         identical whichever side of the threshold a component lands
-         on. *)
-      let children =
-        Array.map (fun _ -> (Budget.fork budget, Telemetry.fork telemetry)) components
-      in
-      let out =
-        Par.map_if ~pool
-          ~big:(fun component ->
-            Matrix.n_rows components.(component) >= Par.default_min_rows)
-          (fun component ->
-            let b, t = children.(component) in
-            Telemetry.span t ~index:component "component" (fun () ->
-                solve_component ~budget:b ~telemetry:t ~component
-                  components.(component)))
-          (Array.init n_comp Fun.id)
-      in
-      Array.iter
-        (fun (b, t) ->
-          Budget.absorb budget b;
-          Telemetry.merge telemetry t)
-        children;
-      out
-    in
-    (* a pool only pays off when at least two components are big enough
-       to cross a domain boundary; otherwise stay on the legacy
-       sequential path and spawn nothing *)
-    let n_big =
-      Array.fold_left
-        (fun acc sub ->
-          if Matrix.n_rows sub >= Par.default_min_rows then acc + 1 else acc)
-        0 components
-    in
-    let results =
-      if config.jobs > 1 && n_big > 1 then
-        Par.Pool.with_pool ~jobs:config.jobs parallel
-      else sequential ()
     in
     let core_ids = Array.fold_left (fun acc r -> r.comp_ids @ acc) [] results in
     let lb_core_int = Array.fold_left (fun acc r -> acc + r.comp_lb) 0 results in

@@ -45,13 +45,6 @@ module Warm = Warm
 (** Multiplier memory used to warm-start λ/μ across the subproblems of a
     descent (§3.2); exposed for regression tests.  @inline *)
 
-module Par = Par
-(** The Domain-backed worker pool, re-exported so callers can write
-    [Scg.Par.Pool.with_pool].  Set {!Config.t.jobs} to solve cyclic-core
-    components concurrently; use {!Par.map} over whole instances for
-    batch parallelism.  Results are bit-identical to sequential runs —
-    see DESIGN.md §10.  @inline *)
-
 (** How the run ended.  Whatever the status, [solution] is a feasible
     cover and [lower_bound] a valid bound. *)
 type status =
@@ -112,15 +105,9 @@ val solve :
     ([zdd_initial_size] / [zdd_gc_threshold] / [zdd_chain_reduction])
     via [Zdd.configure] before the implicit phase.
 
-    Cyclic-core components are solved concurrently when
-    [config.jobs > 1] and at least two of them have
-    {!Par.default_min_rows} rows or more, on a pool created for the
-    component stage; covers, costs, bounds and status are bit-identical
-    to the sequential run for every worker count.  Budget-governed runs
-    still honour the anytime contract under parallelism, but where a
-    budget trips may differ between jobs counts — tick counters are
-    per-domain (only the wall-clock deadline is shared); see DESIGN.md
-    §10.
+    Cyclic-core components ({!Covering.Partition.split}) are solved
+    one after another, in component order, each with its own RNG
+    stream; their covers are joined and their bounds added.
     @raise Invalid_argument if the matrix was already re-indexed. *)
 
 val bridge :

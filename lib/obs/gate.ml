@@ -250,70 +250,6 @@ let check_zdd ~tolerance ~baseline ~fresh =
   { pass = !fails = []; lines = List.rev !lines }
 
 (* ------------------------------------------------------------------ *)
-(* Par baselines (BENCH_par.json shape)                               *)
-(*                                                                    *)
-(* Determinism is the hard gate: sequential and parallel runs must     *)
-(* produce identical covers, costs and bounds.  Speedups are gated     *)
-(* against a floor resolved per row: a row-level "floor" in the        *)
-(* baseline wins, otherwise floor_single / floor_multicore by the      *)
-(* fresh run's visible core count — parallelism must never cost more   *)
-(* than the scheduling noise the floors allow.                         *)
-(* ------------------------------------------------------------------ *)
-
-let check_par ~baseline ~fresh =
-  let fails = ref [] and lines = ref [] in
-  let note fmt = Format.kasprintf (fun s -> lines := s :: !lines) fmt in
-  let fail fmt = Format.kasprintf (fun s -> fails := s :: !fails; lines := s :: !lines) fmt in
-  (if member_b "identical_results" fresh <> Some true then
-     fail "FAIL identical_results: sequential and parallel runs disagree");
-  let cores = Option.value ~default:1 (member_i "cores" fresh) in
-  let default_floor =
-    if cores <= 1 then Option.value ~default:0.95 (member_f "floor_single" baseline)
-    else Option.value ~default:1.0 (member_f "floor_multicore" baseline)
-  in
-  let fresh_components =
-    match Json.member "component" fresh with Some (Json.List l) -> l | _ -> []
-  in
-  let base_components =
-    match Json.member "component" baseline with Some (Json.List l) -> l | _ -> []
-  in
-  List.iter
-    (fun base_row ->
-      match member_s "name" base_row with
-      | None -> fail "FAIL baseline component row without a name"
-      | Some name -> (
-        let floor = Option.value ~default:default_floor (member_f "floor" base_row) in
-        match
-          List.find_opt (fun r -> member_s "name" r = Some name) fresh_components
-        with
-        | None -> fail "FAIL %s: missing from the fresh run" name
-        | Some row -> (
-          (if member_b "identical" row = Some false then
-             fail "FAIL %s: parallel result differs from sequential" name);
-          match member_f "speedup" row with
-          | Some s when s < floor ->
-            fail "FAIL %s: speedup %.2fx below floor %.2fx (%d core%s)" name s
-              floor cores (if cores = 1 then "" else "s")
-          | Some s -> note "ok   %s: speedup %.2fx (floor %.2fx)" name s floor
-          | None -> fail "FAIL %s: fresh run lacks speedup" name)))
-    base_components;
-  (match Json.member "batch" fresh with
-  | Some batch -> (
-    (if member_b "identical" batch = Some false then
-       fail "FAIL batch: parallel results differ from sequential");
-    let floor =
-      Option.value ~default:default_floor
-        (Option.bind (Json.member "batch" baseline) (member_f "floor"))
-    in
-    match member_f "speedup" batch with
-    | Some s when s < floor ->
-      fail "FAIL batch: speedup %.2fx below floor %.2fx" s floor
-    | Some s -> note "ok   batch: speedup %.2fx (floor %.2fx)" s floor
-    | None -> fail "FAIL batch: fresh run lacks speedup")
-  | None -> fail "FAIL batch missing from the fresh run");
-  { pass = !fails = []; lines = List.rev !lines }
-
-(* ------------------------------------------------------------------ *)
 (* Scale baselines (BENCH_scale.json shape)                           *)
 (*                                                                    *)
 (* Everything gated is machine-independent.  Streaming round-trip      *)
@@ -404,7 +340,6 @@ let check ?(tolerance = default_tolerance) ?(min_seconds = default_min_seconds)
   | Some "dense", _ -> check_dense ~tolerance ~baseline ~fresh
   | Some "zdd", _ -> check_zdd ~tolerance ~baseline ~fresh
   | Some "scale", _ -> check_scale ~tolerance ~baseline ~fresh
-  | _, Some "par" -> check_par ~baseline ~fresh
   | _, Some _ -> check_table ~tolerance ~min_seconds ~baseline ~fresh
   | Some mode, None ->
     { pass = false; lines = [ Printf.sprintf "FAIL unknown benchmark mode %S" mode ] }

@@ -27,12 +27,6 @@
       so) and the chain fast paths firing ([chain_hits] > 0).  Wall
       seconds and the build's node counts are echoed but never
       gated.
-    - [{"table":"par", ...}] — the parallel-solve comparison
-      ([BENCH_par.json]).  Sequential/parallel result identity is a
-      hard gate; each component row and the batch speedup must clear a
-      floor: a row-level ["floor"] in the baseline wins, otherwise
-      ["floor_single"] (default 0.95) or ["floor_multicore"] (default
-      1.0) selected by the fresh run's visible core count.
     - [{"mode":"scale", ...}] — the big-instance pipeline benchmark
       ([BENCH_scale.json]).  Streaming round-trip identity
       ([stream_equiv_all], per-instance [stream_equiv]) and the

@@ -187,9 +187,8 @@ let run_batch p tasks =
 (* Work-size threshold: a task below this many rows finishes in
    microseconds, far under the cost of crossing a domain boundary
    (publishing the closure, waking a worker, cache migration), so
-   [map_if] keeps such tasks on the caller.  Chosen from
-   bench --table par data; Scg.solve's component stage and the batch
-   drivers use it as is. *)
+   [map_if] keeps such tasks on the caller.  The CLI batch
+   (ucp_solve --jobs N FILE...) applies it to matrix inputs. *)
 let default_min_rows = 256
 
 let map (type a b) ?pool (f : a -> b) (arr : a array) : b array =
@@ -211,8 +210,6 @@ let map (type a b) ?pool (f : a -> b) (arr : a array) : b array =
         | Some (Error e) -> raise e
         | None -> assert false)
       results
-
-let map_list ?pool f l = Array.to_list (map ?pool f (Array.of_list l))
 
 (* Like [map], but only elements satisfying [big] are worth a domain
    crossing: the small ones run inline on the caller (before the batch,

@@ -12,9 +12,9 @@
       spawned domains; [jobs = 1] spawns nothing and degenerates to the
       sequential path;
     - tasks must not share mutable state unless that state is
-      thread-safe; the solver gives each task its own telemetry
-      collector, budget fork and (via domain-local storage) its own
-      ZDD manager;
+      thread-safe; [ucp_solve]'s batch mode gives each instance its
+      own budget fork, its own output buffer and (via domain-local
+      storage) its own ZDD manager;
     - nested [map] calls on the same pool from inside a task do not
       deadlock — they detect the re-entry and run sequentially on the
       calling worker. *)
@@ -53,13 +53,12 @@ val map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
     to completion even if some raise, then the exception of the
     lowest-indexed failing task is re-raised in the caller. *)
 
-val map_list : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** List version of {!map}; same semantics and ordering guarantee. *)
-
 val default_min_rows : int
 (** Work-size threshold for {!map_if}: tasks on matrices below this
     many rows are cheaper to run inline than to ship across a domain
-    boundary (256; measured with [bench --table par]). *)
+    boundary (256).  The CLI batch, [ucp_solve --jobs N FILE...],
+    counts a matrix input as big from this many rows on, and every PLA
+    or two-level registry input as big. *)
 
 val map_if : ?pool:Pool.t -> big:('a -> bool) -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_if ?pool ~big f arr] — {!map}, except only elements with

@@ -19,8 +19,9 @@ type span = {
    before any collector is created — the registry is snapshot by
    [create], so registration is a link-time concern, not a per-run one.
    The registry is an [Atomic] over an immutable list so that collectors
-   forked onto worker domains can snapshot it without racing a
-   registration (registration itself is idempotent CAS-retry). *)
+   created on other domains (a daemon's request workers) can snapshot it
+   without racing a registration (registration itself is idempotent
+   CAS-retry). *)
 let probe_registry : (string * (unit -> float)) list Atomic.t = Atomic.make []
 
 let rec register_probe name sample =
@@ -306,39 +307,8 @@ let close t =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain collectors: fork and merge                               *)
+(* Merging collectors                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let fork t =
-  match t with
-  | None -> None
-  | Some a ->
-    (* Same clock and epoch, so child span timestamps line up with the
-       parent trace; no sink — a child records in memory only (streaming
-       from several domains would interleave half-lines), and its totals
-       reach the trace through the parent's final summary after [merge].
-       Gauges are sampled fresh on the worker domain: the ZDD probes are
-       domain-local meters, so a child must not inherit parent samples. *)
-    let gauge_names, gauge_sample = probes_snapshot () in
-    let g0 = gauge_sample () in
-    Some
-      {
-        clock = a.clock;
-        t0 = a.t0;
-        sink = None;
-        flush = (fun () -> ());
-        depth = 0;
-        spans_rev = [];
-        counters = Hashtbl.create 32;
-        event_counts = Hashtbl.create 16;
-        step_counts = Hashtbl.create 4;
-        step_best = Hashtbl.create 4;
-        gauge_names;
-        gauge_sample;
-        gauge_last = Array.copy g0;
-        gauge_peak = Array.copy g0;
-        closed = false;
-      }
 
 let merge t child =
   match (t, child) with
@@ -359,11 +329,10 @@ let merge t child =
         Hashtbl.replace a.step_counts phase
           (n + Option.value ~default:0 (Hashtbl.find_opt a.step_counts phase)))
       c.step_counts;
-    (* callers merge children in component order, so "last best" follows
-       the same deterministic order as the sequential path *)
+    (* the child is the later run: its "last best" wins *)
     Hashtbl.iter (fun phase b -> Hashtbl.replace a.step_best phase b) c.step_best;
     a.spans_rev <- c.spans_rev @ a.spans_rev;
-    (* fold gauge peaks by name: the registries of parent and child are
+    (* fold gauge peaks by name: the registries of both collectors are
        snapshots of the same atomic list, but match names defensively *)
     Array.iteri
       (fun ci cname ->

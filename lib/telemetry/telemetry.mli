@@ -151,29 +151,13 @@ val close : t -> unit
 (** Emit the summary as a final ["ev":"summary"] trace record and flush
     the sink.  Idempotent; a no-op without a sink or on {!null}. *)
 
-(** {1 Per-domain collectors}
-
-    Parallel solves give every worker its own collector: fork one child
-    per unit of concurrent work, hand each child to exactly one domain,
-    and merge the children back (in a deterministic order) once the
-    workers have joined.  A child of {!null} is {!null}, so the
-    zero-cost untraced path survives parallelism unchanged. *)
-
-val fork : t -> t
-(** [fork t] is a fresh child collector sharing [t]'s clock and epoch
-    (timestamps remain comparable) but owning all of its tables.  The
-    child has no trace sink — per-event streaming from worker domains
-    would interleave; its data reaches the parent's summary via
-    {!merge}.  Gauge baselines are sampled on the calling domain at fork
-    time; sample them on the worker domain instead by forking there, or
-    accept that domain-local gauges (the ZDD meters) restart from the
-    worker's own state — which is exactly the per-domain-manager view. *)
+(** {1 Merging collectors} *)
 
 val merge : t -> t -> unit
-(** [merge t child] folds a forked child back into [t]: counters, event
-    counts and step counts are summed (conservation: nothing is lost or
-    double-counted), completed spans are appended, gauge peaks are
-    maxed per gauge name, and per-phase "last best" values are replaced
-    by the child's.  Call in a deterministic order (component index) so
-    merged summaries are reproducible.  No-op when either side is
-    {!null}. *)
+(** [merge t child] folds another collector into [t], as the daemon
+    folds each request's collector into its server collector: counters,
+    event counts and step counts are summed (conservation: nothing is
+    lost or double-counted), completed spans are appended, gauge peaks
+    are maxed per gauge name, and per-phase "last best" values are
+    replaced by [child]'s.  [child]'s trace sink, if any, is not
+    touched.  No-op when either side is {!null}. *)

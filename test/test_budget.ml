@@ -172,8 +172,7 @@ let test_site_names_roundtrip () =
 
 (* One governor setup, built twice: once to charge the batch, once to
    tick it.  [prefix] ticks before the batch can trip it (small limits)
-   or, with [fault_raise], leave it past its fault; absorbed [children]
-   can carry a count past its limit without a trip; the fake clock is
+   or, with [fault_raise], leave it past its fault; the fake clock is
    fixed either side of the deadline. *)
 type charge_case = {
   inactive : bool;  (** [Budget.none] *)
@@ -185,7 +184,6 @@ type charge_case = {
   deadline_passed : bool option;  (** [None]: no timeout *)
   check_every : int;
   prefix : Budget.site list;
-  children : Budget.site list list;  (** forked, ticked, absorbed *)
   interrupt : bool;
   batch : (Budget.site * int) list;
   after : Budget.site list;  (** the k further ticks *)
@@ -196,12 +194,11 @@ let print_charge_case c =
   let opt f = function None -> "-" | Some x -> f x in
   Printf.sprintf
     "inactive %b steps %s nodes %s fault %s@%s raise %b deadline %s every %d \
-     prefix [%s] children %d interrupt %b batch [%s] after [%s]"
+     prefix [%s] interrupt %b batch [%s] after [%s]"
     c.inactive (opt string_of_int c.steps) (opt string_of_int c.nodes)
     (opt string_of_int c.fault_after) (opt site c.fault_site) c.fault_raise
     (opt string_of_bool c.deadline_passed) c.check_every
-    (String.concat " " (List.map site c.prefix))
-    (List.length c.children) c.interrupt
+    (String.concat " " (List.map site c.prefix)) c.interrupt
     (String.concat " " (List.map (fun (s, k) -> Printf.sprintf "%s×%d" (site s) k) c.batch))
     (String.concat " " (List.map site c.after))
 
@@ -214,13 +211,12 @@ let arb_charge_case =
     let* fault_site = opt site and* fault_raise = frequency [ (1, return true); (4, return false) ] in
     let* deadline_passed = opt bool and* check_every = int_range 1 8 in
     let* prefix = list_size (int_range 0 30) site in
-    let* children = list_size (int_range 0 2) (list_size (int_range 0 25) site) in
     let* interrupt = frequency [ (1, return true); (6, return false) ] in
     let* batch = list_size (int_range 0 4) (pair site (int_range 0 25)) in
     let+ after = list_size (int_range 0 30) site in
     {
       inactive; steps; nodes; fault_after; fault_site; fault_raise; deadline_passed;
-      check_every; prefix; children; interrupt; batch; after;
+      check_every; prefix; interrupt; batch; after;
     }
   in
   QCheck.make ~print:print_charge_case gen
@@ -245,12 +241,6 @@ let governor c =
     in
     clock := (if c.deadline_passed = Some true then 11. else 5.);
     List.iter (fun s -> ignore (tick_outcome b s)) c.prefix;
-    List.iter
-      (fun ticks ->
-        let child = Budget.fork b in
-        List.iter (fun s -> ignore (tick_outcome child s)) ticks;
-        Budget.absorb b child)
-      c.children;
     if c.interrupt then Budget.interrupt b;
     b
   end
