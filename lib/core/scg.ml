@@ -489,7 +489,7 @@ let solve_logic ?budget ?telemetry ?config ?cost ~on ~dc () =
   let bridge =
     bridge ?telemetry
       ~matrix:(fun b -> b.Covering.From_logic.matrix)
-      (fun () -> Covering.From_logic.build ?cost ~on ~dc ())
+      (fun () -> Covering.From_logic.build ?telemetry ?cost ~on ~dc ())
   in
   let result =
     solve ?budget ?telemetry ?config bridge.Covering.From_logic.matrix
@@ -500,7 +500,7 @@ let solve_logic_implicit ?budget ?telemetry ?config ?cost ~on ~dc () =
   let bridge =
     bridge ?telemetry
       ~matrix:(fun b -> b.Covering.From_logic.imatrix)
-      (fun () -> Covering.From_logic.build_implicit ?cost ~on ~dc ())
+      (fun () -> Covering.From_logic.build_implicit ?telemetry ?cost ~on ~dc ())
   in
   let result =
     solve ?budget ?telemetry ?config bridge.Covering.From_logic.imatrix
@@ -515,7 +515,7 @@ let solve_pla_multi ?budget ?telemetry ?config pla =
   let bridge =
     bridge ?telemetry
       ~matrix:(fun b -> b.Covering.From_logic.mmatrix)
-      (fun () -> Covering.From_logic.build_multi pla)
+      (fun () -> Covering.From_logic.build_multi ?telemetry pla)
   in
   let result =
     solve ?budget ?telemetry ?config bridge.Covering.From_logic.mmatrix

@@ -23,39 +23,38 @@ let output_max cares cube_bdd =
   done;
   !acc
 
-let primes pla =
+let primes ?(telemetry = Telemetry.null) pla =
   if pla.Pla.no > 16 then invalid_arg "Multi.primes: too many outputs";
   if pla.Pla.ni > 24 then invalid_arg "Multi.primes: too many inputs";
   let n = pla.Pla.ni and m = pla.Pla.no in
   let cares = care_bdds pla in
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let acc = ref [] in
-  (* memoise the product functions along the subset lattice would be nice;
-     plain recomputation is fine at suite scale (m <= 8) *)
+  (* products.(mask) = ⋀_{k ∈ mask} care_k, one [band] on the product of
+     [mask] without its lowest output; one prime memo for every subset,
+     whose products share most of their cofactors *)
+  let products = Array.make (1 lsl m) Bdd.one in
+  let memo = Primes.memo () in
+  let all = ref Zdd.empty and subsets = ref 0 in
   for mask = 1 to (1 lsl m) - 1 do
-    let product = ref Bdd.one in
-    for k = 0 to m - 1 do
-      if mask land (1 lsl k) <> 0 then product := Bdd.band !product cares.(k)
-    done;
-    if not (Bdd.is_zero !product) then begin
-      let cubes = Primes.to_cubes ~nvars:n (Primes.of_bdd !product) in
-      List.iter
-        (fun cube ->
-          let key = Cube.to_string cube in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            (* the cube is input-prime for this subset; its multi-output
-               tag is the maximal set of outputs it implies, and input
-               primality transfers to that larger product function *)
-            let outputs = output_max cares (Cube.to_bdd cube) in
-            (* the tag always contains the generating subset *)
-            assert (List.length outputs >= 1);
-            acc := { cube; outputs } :: !acc
-          end)
-        cubes
+    let rest = mask land (mask - 1) in
+    let rec lowest k = if (mask lsr k) land 1 = 1 then k else lowest (k + 1) in
+    let product = Bdd.band products.(rest) cares.(lowest 0) in
+    products.(mask) <- product;
+    if not (Bdd.is_zero product) then begin
+      incr subsets;
+      all := Zdd.union !all (Primes.of_bdd ~memo product)
     end
   done;
-  List.sort compare_prime !acc
+  Telemetry.add telemetry "bridge.subsets" !subsets;
+  (* each distinct cube once, whichever subsets it is input-prime for:
+     its multi-output tag is the maximal set of outputs it implies, and
+     input primality transfers to that larger product function *)
+  Primes.to_cubes ~nvars:n !all
+  |> List.map (fun cube ->
+         let outputs = output_max cares (Cube.to_bdd cube) in
+         (* the tag always contains a generating subset *)
+         assert (outputs <> []);
+         { cube; outputs })
+  |> List.sort compare_prime
 
 let is_implicant pla p =
   p.outputs <> []

@@ -27,8 +27,13 @@ val equal_prime : prime -> prime -> bool
 val compare_prime : prime -> prime -> int
 val pp_prime : Format.formatter -> prime -> unit
 
-val primes : Pla.t -> prime list
-(** All multi-output primes of the PLA.
+val primes : ?telemetry:Telemetry.t -> Pla.t -> prime list
+(** All multi-output primes of the PLA, sorted by {!compare_prime}.
+    Each subset's product is one [Bdd.band] on a smaller subset's
+    product, all subsets share one {!Primes.memo}, and each distinct
+    cube is decoded and tagged once (doc/ALGORITHMS.md §2).
+    [telemetry] counts the subsets with a non-zero product
+    (["bridge.subsets"]).
     @raise Invalid_argument beyond 16 outputs or 24 inputs. *)
 
 val is_implicant : Pla.t -> prime -> bool

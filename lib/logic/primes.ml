@@ -9,10 +9,14 @@
    implicants of the product form a sub-order of the implicants of each
    factor. *)
 
-let of_bdd f =
-  (* per-call memo (it was always reset at entry), so it is also
-     domain-private under parallel solves *)
-  let memo : (int, Zdd.t) Hashtbl.t = Hashtbl.create 4_096 in
+(* P(f) is a function of f's node alone, so one table serves every call
+   that shares it; it holds this domain's nodes, so it stays with the
+   caller and is never shared across domains *)
+type memo = (int, Zdd.t) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 4_096
+
+let of_bdd ?(memo = memo ()) f =
   let rec go f =
     if Bdd.is_zero f then Zdd.empty
     else if Bdd.is_one f then Zdd.base

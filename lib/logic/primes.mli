@@ -18,10 +18,21 @@
     primes are never enumerated explicitly until the problem has been
     reduced. *)
 
-val of_bdd : Bdd.t -> Zdd.t
+type memo
+(** The recursion's table from BDD node to prime ZDD.  [P(f)] depends on
+    [f]'s node alone, so calls that share a memo never recompute the
+    primes of a node any of them met, such as the cofactor products that
+    related functions have in common.  A memo holds nodes of the calling
+    domain's managers; keep it on that domain. *)
+
+val memo : unit -> memo
+(** A fresh, empty memo. *)
+
+val of_bdd : ?memo:memo -> Bdd.t -> Zdd.t
 (** Prime implicants of the function represented by the BDD, as a ZDD of
     literal sets.  [Zdd.base] means the function is a tautology (the
-    universal cube is its only prime). *)
+    universal cube is its only prime).  [memo] defaults to a fresh one,
+    so a call without it shares nothing. *)
 
 val of_covers : on:Cover.t -> dc:Cover.t -> Zdd.t
 (** Primes of the care function [on ∪ dc].  (The standard Quine–McCluskey
@@ -31,8 +42,9 @@ val count : Zdd.t -> float
 (** Number of primes (alias of {!Zdd.count}, for pipeline readability). *)
 
 val to_cubes : nvars:int -> Zdd.t -> Cube.t list
-(** Decode to explicit cubes — only do this after reductions have made the
-    set small. *)
+(** Decode to explicit cubes, each built in one pass
+    ({!Cube.of_literal_set}) — only do this after reductions have made
+    the set small. *)
 
 val essential :
   on:Cover.t -> dc:Cover.t -> primes:Cube.t list -> Cube.t list
