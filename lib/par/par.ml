@@ -184,13 +184,6 @@ let run_batch p tasks =
     Mutex.unlock p.mutex
   end
 
-(* Work-size threshold: a task below this many rows finishes in
-   microseconds, far under the cost of crossing a domain boundary
-   (publishing the closure, waking a worker, cache migration), so
-   [map_if] keeps such tasks on the caller.  The CLI batch
-   (ucp_solve --jobs N FILE...) applies it to matrix inputs. *)
-let default_min_rows = 256
-
 let map (type a b) ?pool (f : a -> b) (arr : a array) : b array =
   let n = Array.length arr in
   match pool with
@@ -210,36 +203,3 @@ let map (type a b) ?pool (f : a -> b) (arr : a array) : b array =
         | Some (Error e) -> raise e
         | None -> assert false)
       results
-
-(* Like [map], but only elements satisfying [big] are worth a domain
-   crossing: the small ones run inline on the caller (before the batch,
-   in index order) and the big ones go through the pool.  With fewer
-   than two big elements there is nothing to overlap, so everything runs
-   inline.  Results are keyed by index either way, so the output is
-   observationally [Array.map f arr]; an exception from a small task
-   propagates immediately, exceptions from big tasks follow [map]'s
-   lowest-index rule. *)
-let map_if (type a b) ?pool ~(big : a -> bool) (f : a -> b) (arr : a array) :
-    b array =
-  let n = Array.length arr in
-  match pool with
-  | None -> Array.map f arr
-  | Some p when p.size = 1 || n <= 1 -> Array.map f arr
-  | Some p ->
-    let is_big = Array.map big arr in
-    let n_big = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 is_big in
-    if n_big <= 1 then Array.map f arr
-    else begin
-      let results : b option array = Array.make n None in
-      Array.iteri
-        (fun k x -> if not is_big.(k) then results.(k) <- Some (f x))
-        arr;
-      let big_idx = ref [] in
-      for k = n - 1 downto 0 do
-        if is_big.(k) then big_idx := k :: !big_idx
-      done;
-      let big_idx = Array.of_list !big_idx in
-      let out = map ~pool:p (fun k -> f arr.(k)) big_idx in
-      Array.iteri (fun pos k -> results.(k) <- Some out.(pos)) big_idx;
-      Array.map (function Some v -> v | None -> assert false) results
-    end

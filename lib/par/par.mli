@@ -52,20 +52,3 @@ val map : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
     With a pool, tasks are distributed over the workers; all tasks run
     to completion even if some raise, then the exception of the
     lowest-indexed failing task is re-raised in the caller. *)
-
-val default_min_rows : int
-(** Work-size threshold for {!map_if}: tasks on matrices below this
-    many rows are cheaper to run inline than to ship across a domain
-    boundary (256).  The CLI batch, [ucp_solve --jobs N FILE...],
-    counts a matrix input as big from this many rows on, and every PLA
-    or two-level registry input as big. *)
-
-val map_if : ?pool:Pool.t -> big:('a -> bool) -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_if ?pool ~big f arr] — {!map}, except only elements with
-    [big x = true] are dispatched to the pool; the rest run inline on
-    the caller first, in index order.  With no pool, a one-worker pool,
-    or fewer than two big elements, this is exactly [Array.map f arr]
-    (no domain is crossed at all).  Output order and results match
-    [Array.map f arr] in every case.  Exceptions: a small task's raises
-    immediately (big tasks then never start); big tasks follow {!map}'s
-    lowest-index re-raise rule. *)
