@@ -119,8 +119,10 @@ val bridge :
     it before {!solve}, whose spans never cover the build; on
     benchmark-sized PLAs it is most of the solve.  A front end that
     builds the bridge itself, to tell an input the bridge rejects from a
-    failing solve, calls it for the same trace.  Exceptions of [build]
-    pass through. *)
+    failing solve, calls it for the same trace.  Callers hand the same
+    [telemetry] to the builder, which splits the span into
+    ["bridge-primes"] and ["bridge-rows"].  Exceptions of [build] pass
+    through. *)
 
 val solve_logic :
   ?budget:Budget.t ->

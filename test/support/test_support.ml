@@ -11,6 +11,10 @@ module Qm = Qm
 (* the hash-table greedy the flat-array MIS bound is tested against *)
 module Mis_oracle = Mis_oracle
 
+(* the per-subset generator the shared-memo multi-output primes are
+   tested against *)
+module Multi_oracle = Multi_oracle
+
 (* The sort-based pruning [Matrix.irredundant] replaced, kept as its
    test oracle: sort the cover's columns by cost descending, ties by
    index descending, on every call, then drop each redundant one in that

@@ -254,6 +254,54 @@ let test_intersects_long_search () =
   in
   List.iter (fun (name, g) -> check name (intersects_agrees f g && intersects_agrees g f)) cases
 
+(* [implies] must agree with the conjunction [f ∧ ¬g] it avoids, and
+   build no node doing so *)
+let implies_agrees f g =
+  let before = Bdd.node_count () in
+  let got = Bdd.implies f g in
+  Bdd.node_count () = before && got = Bdd.is_zero (Bdd.bdiff f g)
+
+let prop_implies_is_bdiff =
+  QCheck.Test.make ~name:"implies = bdiff is zero, no node built" ~count:200
+    (QCheck.pair arb_expr arb_expr) (fun (a, b) ->
+      let f = bdd_of_expr a and g = bdd_of_expr b in
+      (* random pairs seldom imply each other; f ∧ g → g and f → f ∨ g do *)
+      implies_agrees f g
+      && implies_agrees (Bdd.band f g) g
+      && implies_agrees f (Bdd.bor f g))
+
+let test_implies_long_search () =
+  (* parity(x0..x39) has 2^39 paths to one: proving it implies itself
+     widened, or finding the one minterm a function lacks on its last
+     path, cannot finish without the memo of proven pairs.  Each case runs
+     again with the pairs' conjunctions already cached by [band], which
+     the memo must read as proven only when the conjunction is f. *)
+  let n = 40 in
+  let parity = List.fold_left (fun acc i -> Bdd.bxor acc (Bdd.var i)) Bdd.zero (List.init n Fun.id) in
+  let last = Bdd.cube_of_literals ((n - 1, true) :: List.init (n - 1) (fun i -> (i, false))) in
+  let cases =
+    [
+      ("narrowed", Bdd.band parity (Bdd.var n), parity);
+      ("widened", parity, Bdd.bor parity (Bdd.var n));
+      ("last minterm missing", parity, Bdd.bdiff parity last);
+      (* every pair differs, so the failing last path comes after a
+         search past 64 steps *)
+      ( "last minterm needs x40",
+        parity,
+        Bdd.bdiff (Bdd.bor parity (Bdd.var n)) (Bdd.band last (Bdd.nvar n)) );
+      ("other parity", parity, Bdd.bnot parity);
+      ("itself", parity, parity);
+      ("zero", Bdd.zero, parity);
+      ("one", parity, Bdd.one);
+    ]
+  in
+  List.iter
+    (fun (name, f, g) ->
+      check name (implies_agrees f g && implies_agrees g f);
+      ignore (Bdd.band f g);
+      check (name ^ ", conjunction cached") (implies_agrees f g && implies_agrees g f))
+    cases
+
 let () =
   Alcotest.run "bdd"
     [
@@ -273,6 +321,7 @@ let () =
           Alcotest.test_case "parity size" `Quick test_parity_size;
           Alcotest.test_case "big conjunction" `Quick test_big_conjunction;
           Alcotest.test_case "intersects long search" `Quick test_intersects_long_search;
+          Alcotest.test_case "implies long search" `Quick test_implies_long_search;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -287,5 +336,6 @@ let () =
             prop_implies_is_subset;
             prop_xor_via_or_and;
             prop_intersects_is_band;
+            prop_implies_is_bdiff;
           ] );
     ]

@@ -801,8 +801,11 @@ let test_build_implicit_wide_inputs () =
         Logic.Cube.of_literals n [ (0, false); (2, true) ];
       ]
   in
-  let imp = From_logic.build_implicit ~on ~dc:(Logic.Cover.empty n) () in
+  let telemetry = Telemetry.create () in
+  let imp = From_logic.build_implicit ~telemetry ~on ~dc:(Logic.Cover.empty n) () in
   check "rows stay tiny" true (Matrix.n_rows imp.From_logic.imatrix <= 8);
+  (* the region of x0·x1 alone misses the prime x̄0·x2 by its mask cube *)
+  check "mask test skips" true (Telemetry.counter telemetry "bridge.cube_skips" > 0);
   let r = Exact.solve imp.From_logic.imatrix in
   Alcotest.(check int) "two products" 2 r.Exact.cost;
   check "verified" true (From_logic.verify_implicit imp r.Exact.solution)
@@ -963,6 +966,25 @@ let prop_build_multi_matches_scan =
                    (List.init (Array.length primes) Fun.id))
                want_rows)
 
+(* Above 62 inputs a cube's masks do not fit an int, so every region
+   carries the universal cube and every pair goes to the BDD search. *)
+let test_build_implicit_past_masks () =
+  for seed = 1 to 25 do
+    let rng = Random.State.make [| seed |] in
+    let n = 63 + Random.State.int rng 10 in
+    let on, dc = random_planes rng n in
+    let primes, rows = reference_implicit ~on ~dc in
+    let telemetry = Telemetry.create () in
+    match From_logic.build_implicit ~telemetry ~on ~dc () with
+    | exception Invalid_argument _ -> check "nothing to cover" true (rows = [])
+    | b ->
+      check "same primes" true (same_primes b.From_logic.iprimes primes);
+      check "same rows" true (rows_of b.From_logic.imatrix = List.map fst rows);
+      check "same regions" true
+        (List.for_all2 Bdd.equal (Array.to_list b.From_logic.iregions) (List.map snd rows));
+      Alcotest.(check int) "no mask skips" 0 (Telemetry.counter telemetry "bridge.cube_skips")
+  done
+
 let prop_build_implicit_matches_refinement =
   QCheck.Test.make ~name:"build_implicit = unguarded refinement" ~count:150 TS.arb_seed
     (fun seed ->
@@ -1059,6 +1081,7 @@ let () =
           Alcotest.test_case "lexicographic" `Quick test_from_logic_lexicographic;
           Alcotest.test_case "implicit build" `Quick test_build_implicit_agrees;
           Alcotest.test_case "implicit wide" `Quick test_build_implicit_wide_inputs;
+          Alcotest.test_case "implicit past masks" `Quick test_build_implicit_past_masks;
           Alcotest.test_case "with dc" `Quick test_from_logic_with_dc;
           QCheck_alcotest.to_alcotest prop_build_matches_scan;
           QCheck_alcotest.to_alcotest prop_build_multi_matches_scan;

@@ -86,6 +86,33 @@ let prop_primes_match_brute_force =
           (show_primes brute)
       else true)
 
+(* A random multi-output PLA at the benchmark's two-level sizes: 10 or
+   11 inputs, 4 or 5 outputs, 28 to 30 terms, drawn like its [multi]
+   inputs (each input literal 0, 1 or - alike; each output 1 half the
+   time, else 0 or -). *)
+let bench_sized_pla seed =
+  let rng = Random.State.make [| seed |] in
+  let ni = 10 + Random.State.int rng 2 and no = 4 + Random.State.int rng 2 in
+  let plane n pick = String.init n (fun _ -> pick (Random.State.int rng 12)) in
+  let row _ =
+    plane ni (fun r -> if r < 4 then '0' else if r < 8 then '1' else '-')
+    ^ " "
+    ^ plane no (fun r -> if r < 6 then '1' else if r < 9 then '0' else '-')
+  in
+  let body = String.concat "\n" (List.init (28 + Random.State.int rng 3) row) in
+  Pla.parse (Printf.sprintf ".i %d\n.o %d\n.type fd\n%s\n.e\n" ni no body)
+
+let prop_primes_match_oracle =
+  QCheck.Test.make ~name:"multi-output primes = per-subset oracle, bench sizes"
+    ~count:12 arb_seed (fun seed ->
+      let pla = bench_sized_pla seed in
+      let fast = Multi.primes pla in
+      let oracle = Test_support.Multi_oracle.primes pla in
+      if List.equal Multi.equal_prime fast oracle then true
+      else
+        QCheck.Test.fail_reportf "%d primes, oracle %d" (List.length fast)
+          (List.length oracle))
+
 let prop_solution_covers_all_rows =
   QCheck.Test.make ~name:"multi solution covers every (minterm, output)" ~count:30
     arb_seed (fun seed ->
@@ -164,6 +191,7 @@ let () =
         [
           Alcotest.test_case "sharing primes" `Quick test_sharing_primes;
           QCheck_alcotest.to_alcotest prop_primes_match_brute_force;
+          QCheck_alcotest.to_alcotest prop_primes_match_oracle;
         ] );
       ( "covering",
         [
