@@ -15,7 +15,7 @@ test-force:
 
 bench:
 	dune exec bench/main.exe -- --table all --table ablation --table methods \
-	  --table pricing --timing --csv bench_results.csv 2>&1 | tee bench_output.txt
+	  --csv bench_results.csv 2>&1 | tee bench_output.txt
 
 bench-quick:
 	dune exec bench/main.exe -- --no-csv --table fig1 --table 1 --table 3

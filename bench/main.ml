@@ -8,8 +8,7 @@
      3      Table 3: difficult cyclic, ZDD_SCG vs the exact solver
      4      Table 4: challenging, ZDD_SCG vs the exact solver
 
-   `--timing` additionally runs one Bechamel micro-benchmark per table on a
-   representative kernel.  Run `bench/main.exe --help` for options. *)
+   Run `bench/main.exe --help` for options. *)
 
 module Matrix = Covering.Matrix
 module Registry = Benchsuite.Registry
@@ -416,101 +415,37 @@ let run_ablation () =
   pr " point that the cheap classical bound wins on ordinary problems)@."
 
 (* ------------------------------------------------------------------ *)
-(* Two-level method comparison (not a paper table; showcases ISOP)    *)
+(* Two-level method comparison (not a paper table)                    *)
 (* ------------------------------------------------------------------ *)
 
 let run_methods () =
   pr "@.== Two-level minimisers compared (product counts) ==@.";
-  pr "scg = paper's heuristic (starred if proven); isop = Minato-Morreale;@.";
+  pr "scg = paper's heuristic (starred if proven);@.";
   pr "exact = covering branch-and-bound@.";
   hline 76;
-  pr "%-12s %8s %8s %8s %8s %8s@." "function" "scg" "esp-n" "esp-s" "isop" "exact";
+  pr "%-12s %8s %8s %8s %8s@." "function" "scg" "esp-n" "esp-s" "exact";
   hline 76;
   List.iter
     (fun name ->
       match Lazy.force (Registry.find name).Registry.problem with
       | Registry.Two_level spec ->
         let on = spec.Benchsuite.Plagen.on and dc = spec.Benchsuite.Plagen.dc in
-        let n = Logic.Cover.nvars on in
         let scg, _ = timed (fun () -> Scg.solve_logic ~on ~dc ()) in
         let scg = fst scg in
         let esp_n = (Espresso.minimise ~mode:Espresso.Normal ~on ~dc ()).Espresso.cost in
         let esp_s = (Espresso.minimise ~mode:Espresso.Strong ~on ~dc ()).Espresso.cost in
-        let isop = List.length (Logic.Isop.compute_cubes ~nvars:n ~on ~dc) in
         let b = Covering.From_logic.build ~on ~dc () in
         let exact = (Covering.Exact.solve b.Covering.From_logic.matrix).Covering.Exact.cost in
-        pr "%-12s %8s %8d %8d %8d %8d@." name
+        pr "%-12s %8s %8d %8d %8d@." name
           (starred scg.Scg.cost scg.Scg.proven_optimal)
-          esp_n esp_s isop exact
+          esp_n esp_s exact
       | Registry.Raw _ | Registry.Multi_level _ -> ())
     [
       "maj5"; "sym6-234"; "sym7-135"; "add3"; "mux8"; "rpla-6-8"; "rpla-7-10";
       "rpla-8-12"; "rpla-dc30"; "rpla-dc60";
     ];
   hline 76;
-  pr "(scg and exact agree wherever exact finishes; isop >= exact always)@."
-
-(* ------------------------------------------------------------------ *)
-(* Column pricing on the large instances (§2 ref [6])                 *)
-(* ------------------------------------------------------------------ *)
-
-let run_pricing () =
-  pr "@.== Column pricing vs full subgradient (large instances) ==@.";
-  pr "Caprara-style core selection: same bounds for a fraction of the work@.";
-  hline 86;
-  pr "%-10s | %10s %8s %8s | %10s %8s %8s@." "name" "full LB" "UB" "T(s)" "priced LB"
-    "UB" "T(s)";
-  hline 86;
-  List.iter
-    (fun name ->
-      let m = Registry.matrix (Registry.find name) in
-      let plain, t_plain =
-        timed (fun () ->
-            Lagrangian.Subgradient.run
-              ~config:
-                { Lagrangian.Subgradient.default_config with max_steps = 600 }
-              m)
-      in
-      let priced, t_priced = timed (fun () -> Lagrangian.Pricing.run m) in
-      pr "%-10s | %10.2f %8d %8.2f | %10.2f %8d %8.2f@." name
-        plain.Lagrangian.Subgradient.lower_bound plain.Lagrangian.Subgradient.best_cost
-        t_plain priced.Lagrangian.Subgradient.lower_bound
-        priced.Lagrangian.Subgradient.best_cost t_priced;
-      csv_emit
-        [
-          "pricing"; name; "subgradient";
-          string_of_int plain.Lagrangian.Subgradient.best_cost; "false";
-          Printf.sprintf "%.2f" plain.Lagrangian.Subgradient.lower_bound;
-          Printf.sprintf "%.4f" t_plain; "";
-        ];
-      csv_emit
-        [
-          "pricing"; name; "pricing";
-          string_of_int priced.Lagrangian.Subgradient.best_cost; "false";
-          Printf.sprintf "%.2f" priced.Lagrangian.Subgradient.lower_bound;
-          Printf.sprintf "%.4f" t_priced; "";
-        ])
-    [ "ex1010"; "soar.pla"; "test2"; "test3" ];
-  (* the shape pricing exists for: few constraints, a flood of candidate
-     columns (Beasley's scp profile) *)
-  List.iter
-    (fun (label, n_rows, n_cols) ->
-      let m =
-        Benchsuite.Randucp.beasley ~name:label ~n_rows ~n_cols ~rows_per_col:6 ()
-      in
-      let plain, t_plain =
-        timed (fun () ->
-            Lagrangian.Subgradient.run
-              ~config:{ Lagrangian.Subgradient.default_config with max_steps = 400 }
-              m)
-      in
-      let priced, t_priced = timed (fun () -> Lagrangian.Pricing.run m) in
-      pr "%-10s | %10.2f %8d %8.2f | %10.2f %8d %8.2f@." label
-        plain.Lagrangian.Subgradient.lower_bound plain.Lagrangian.Subgradient.best_cost
-        t_plain priced.Lagrangian.Subgradient.lower_bound
-        priced.Lagrangian.Subgradient.best_cost t_priced)
-    [ ("scp-a", 300, 6_000); ("scp-b", 500, 15_000) ];
-  hline 86
+  pr "(scg and exact agree wherever exact finishes)@."
 
 (* ------------------------------------------------------------------ *)
 (* Dense bit-slice kernels (BENCH_dense.json)                          *)
@@ -981,69 +916,6 @@ let run_zdd ~json_path () =
   if not !identical_all then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table                 *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let fig1 = Benchsuite.Worked.fig1 () in
-  let easy_m = Registry.matrix (Registry.find "ucp-easy20") in
-  let t1 = Registry.matrix (Registry.find "t1") in
-  let misj = Registry.matrix (Registry.find "misj") in
-  let pdc = Registry.matrix (Registry.find "pdc") in
-  let quick_cfg =
-    {
-      Scg.Config.default with
-      Scg.Config.num_iter = 1;
-      subgradient = { Lagrangian.Subgradient.default_config with max_steps = 100 };
-    }
-  in
-  [
-    Test.make ~name:"fig1/subgradient"
-      (Staged.stage (fun () -> ignore (Lagrangian.Subgradient.run fig1)));
-    Test.make ~name:"easy/scg"
-      (Staged.stage (fun () -> ignore (Scg.solve ~config:quick_cfg easy_m)));
-    Test.make ~name:"table1/scg-t1"
-      (Staged.stage (fun () -> ignore (Scg.solve ~config:quick_cfg t1)));
-    Test.make ~name:"table2/scg-misj"
-      (Staged.stage (fun () -> ignore (Scg.solve ~config:quick_cfg misj)));
-    Test.make ~name:"table3/exact-t1"
-      (Staged.stage (fun () -> ignore (Covering.Exact.solve ~max_nodes:5_000 t1)));
-    Test.make ~name:"table4/exact-pdc"
-      (Staged.stage (fun () -> ignore (Covering.Exact.solve ~max_nodes:1_000 pdc)));
-  ]
-
-let run_timing () =
-  let open Bechamel in
-  pr "@.== Bechamel micro-benchmarks (one kernel per table) ==@.";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let grouped = Test.make_grouped ~name:"ucp" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  hline 60;
-  pr "%-28s %14s %8s@." "kernel" "time/run" "r^2";
-  hline 60;
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  List.iter
-    (fun (name, est) ->
-      let ns =
-        match Analyze.OLS.estimates est with
-        | Some [ e ] -> e
-        | Some _ | None -> Float.nan
-      in
-      let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square est) in
-      let pretty =
-        if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else Printf.sprintf "%.2f us" (ns /. 1e3)
-      in
-      pr "%-28s %14s %8.3f@." name pretty r2)
-    (List.sort Stdlib.compare rows);
-  hline 60
-
-(* ------------------------------------------------------------------ *)
 (* Baseline check (`--check BASELINE.json`) — the regression gate      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1264,7 +1136,7 @@ let run_serve ~json_path () =
 
 (* deterministic solve allowance for the tier: enough for the planted
    instances to prove their certificates, bounded enough that the wide
-   pricing instances stop in seconds *)
+   instances stop in seconds *)
 let scale_steps = 2_000
 
 let matrix_equal a b =
@@ -1545,12 +1417,12 @@ let run_check ~tolerance ~reduce_reps baseline_path =
 
 let table_names =
   [ "fig1"; "easy"; "1"; "2"; "3"; "4"; "ablation"; "dense"; "serve";
-    "zdd"; "scale"; "methods"; "pricing"; "timing"; "all" ]
+    "zdd"; "scale"; "methods"; "all" ]
 
 let usage () =
   pr
     "usage: main.exe [--table %s] [--verbose]@,\
-    \       [--timing] [--exact-nodes-difficult N] [--exact-nodes-challenging N]@,\
+    \       [--exact-nodes-difficult N] [--exact-nodes-challenging N]@,\
     \       [--csv FILE] [--no-csv] [--reduce-reps N]@,\
     \       [--dense-json FILE] [--serve-json FILE] [--zdd-json FILE] [--scale-json FILE]@,\
     \       [--check BASELINE.json] [--check-tolerance T]@."
@@ -1560,7 +1432,6 @@ let usage () =
 let () =
   let tables = ref [] in
   let verbose = ref false in
-  let timing = ref false in
   let nodes_difficult = ref 150_000 in
   let nodes_challenging = ref 30_000 in
   (* per-instance rows are mirrored to bench_results.csv by default so
@@ -1585,9 +1456,6 @@ let () =
       parse rest
     | "--verbose" :: rest ->
       verbose := true;
-      parse rest
-    | "--timing" :: rest ->
-      timing := true;
       parse rest
     | "--exact-nodes-difficult" :: n :: rest ->
       nodes_difficult := int_of_string n;
@@ -1652,7 +1520,5 @@ let () =
   if want "zdd" then run_zdd ~json_path:!zdd_json ();
   if want "scale" then run_scale ~json_path:!scale_json ();
   if want "methods" then run_methods ();
-  if want "pricing" then run_pricing ();
-  if !timing || want "timing" then run_timing ();
   csv_close ();
   pr "@.done.@."

@@ -18,7 +18,6 @@ let one = { tag = 1; node = One }
 let is_zero f = f.tag = 0
 let is_one f = f.tag = 1
 let equal f g = f == g
-let compare f g = Stdlib.compare f.tag g.tag
 let hash f = f.tag
 
 (* ------------------------------------------------------------------ *)
@@ -59,14 +58,11 @@ let configure ?initial_size () =
 type state = {
   unique : t Unique.t;
   mutable next_tag : int;
-  mutable peak : int;
   and_cache : t Cache2.t;
   or_cache : t Cache2.t;
   xor_cache : t Cache2.t;
   not_cache : t Cache1.t;
   size_seen : unit Cache1.t;
-  mutable collections : int;
-  mutable reclaimed_total : int;
 }
 
 let state_key : state Domain.DLS.key =
@@ -74,14 +70,11 @@ let state_key : state Domain.DLS.key =
       {
         unique = Unique.create (Atomic.get cfg_initial_size);
         next_tag = 2;
-        peak = 0;
         and_cache = Cache2.create 4_096;
         or_cache = Cache2.create 4_096;
         xor_cache = Cache2.create 4_096;
         not_cache = Cache1.create 4_096;
         size_seen = Cache1.create 1_024;
-        collections = 0;
-        reclaimed_total = 0;
       })
 
 let state () = Domain.DLS.get state_key
@@ -96,15 +89,9 @@ let mk st var hi lo =
       let n = { tag = st.next_tag; node = Node { var; hi; lo } } in
       st.next_tag <- st.next_tag + 1;
       Unique.add st.unique key n;
-      let occ = Unique.length st.unique in
-      if occ > st.peak then st.peak <- occ;
       n
 
 let node_count () = Unique.length (state ()).unique
-
-let peak_node_count () =
-  let st = state () in
-  max st.peak (Unique.length st.unique)
 
 let var i =
   if i < 0 then invalid_arg "Bdd.var: negative index";
@@ -114,69 +101,10 @@ let nvar i =
   if i < 0 then invalid_arg "Bdd.nvar: negative index";
   mk (state ()) i zero one
 
-let top_var f =
-  match f.node with
-  | Node { var; _ } -> var
-  | Zero | One -> invalid_arg "Bdd.top_var: constant"
-
 let cofactors f =
   match f.node with
   | Node { var; hi; lo } -> (var, hi, lo)
   | Zero | One -> invalid_arg "Bdd.cofactors: constant"
-
-(* ------------------------------------------------------------------ *)
-(* Operation caches                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let clear_caches () =
-  let st = state () in
-  Cache2.reset st.and_cache;
-  Cache2.reset st.or_cache;
-  Cache2.reset st.xor_cache;
-  Cache1.reset st.not_cache
-
-(* Mark-and-sweep of dead nodes, mirroring the ZDD manager's lifecycle
-   in its simplest form: the BDD engine's consumers (FSM closure
-   clauses, espresso cubes) hold their live functions explicitly, so a
-   full sweep with caller-supplied roots is enough — no generational
-   nursery or registered-root bookkeeping.  Caches are reset for the
-   same canonicity reason: a stale hit must not resurrect a swept
-   node. *)
-module Gc = struct
-  type stats = { collections : int; reclaimed_total : int }
-
-  let stats () =
-    let st = state () in
-    { collections = st.collections; reclaimed_total = st.reclaimed_total }
-
-  let collect ?(roots = []) () =
-    let st = state () in
-    let marked : unit Cache1.t = Cache1.create 4_096 in
-    let rec mark f =
-      match f.node with
-      | Zero | One -> ()
-      | Node { hi; lo; _ } ->
-        if not (Cache1.mem marked f.tag) then begin
-          Cache1.add marked f.tag ();
-          mark hi;
-          mark lo
-        end
-    in
-    List.iter mark roots;
-    let dead = ref [] in
-    Unique.iter
-      (fun key n -> if not (Cache1.mem marked n.tag) then dead := key :: !dead)
-      st.unique;
-    List.iter (Unique.remove st.unique) !dead;
-    let reclaimed = List.length !dead in
-    st.collections <- st.collections + 1;
-    st.reclaimed_total <- st.reclaimed_total + reclaimed;
-    Cache2.reset st.and_cache;
-    Cache2.reset st.or_cache;
-    Cache2.reset st.xor_cache;
-    Cache1.reset st.not_cache;
-    reclaimed
-end
 
 (* Expand [f] with respect to variable [v], assuming [v <= top_var f]. *)
 let cof f v =
@@ -296,74 +224,6 @@ let bxor f g = bxor_st (state ()) f g
 let bnot f = bnot_st (state ()) f
 
 let bdiff f g = band f (bnot g)
-let bimp f g = bor (bnot f) g
-let bite f g h = bor (band f g) (band (bnot f) h)
-
-(* ------------------------------------------------------------------ *)
-(* Cofactors and quantification                                       *)
-(* ------------------------------------------------------------------ *)
-
-let cofactor f ~var b =
-  let st = state () in
-  let module M = Map.Make (Int) in
-  let memo = ref M.empty in
-  let rec go f =
-    match f.node with
-    | Zero | One -> f
-    | Node { var = v; hi; lo } ->
-      if v > var then f
-      else if v = var then if b then hi else lo
-      else (
-        match M.find_opt f.tag !memo with
-        | Some r -> r
-        | None ->
-          let r = mk st v (go hi) (go lo) in
-          memo := M.add f.tag r !memo;
-          r)
-  in
-  go f
-
-let quantify combine vars f =
-  let st = state () in
-  let vars = List.sort_uniq Stdlib.compare vars in
-  let memo : t Cache1.t = Cache1.create 256 in
-  let rec go vars f =
-    match (vars, f.node) with
-    | [], _ | _, (Zero | One) -> f
-    | v :: rest, Node { var; hi; lo } ->
-      if var > v then go rest f
-      else (
-        match Cache1.find_opt memo f.tag with
-        | Some r -> r
-        | None ->
-          let r =
-            if var = v then combine (go rest hi) (go rest lo)
-            else mk st var (go vars hi) (go vars lo)
-          in
-          Cache1.add memo f.tag r;
-          r)
-  in
-  go vars f
-
-let exists vars f = quantify bor vars f
-let forall vars f = quantify band vars f
-
-let support f =
-  let seen : unit Cache1.t = Cache1.create 256 in
-  let vars = ref [] in
-  let rec go f =
-    match f.node with
-    | Zero | One -> ()
-    | Node { var; hi; lo } ->
-      if not (Cache1.mem seen f.tag) then begin
-        Cache1.add seen f.tag ();
-        vars := var :: !vars;
-        go hi;
-        go lo
-      end
-  in
-  go f;
-  List.sort_uniq Stdlib.compare !vars
 
 (* ------------------------------------------------------------------ *)
 (* Semantics                                                          *)
@@ -436,37 +296,6 @@ let sat_count ~nvars f =
   if nvars < 0 then invalid_arg "Bdd.sat_count: negative nvars";
   go 0 f
 
-let any_sat f =
-  let rec go acc f =
-    match f.node with
-    | Zero -> raise Not_found
-    | One -> List.rev acc
-    | Node { var; hi; lo } ->
-      if is_zero hi then go ((var, false) :: acc) lo else go ((var, true) :: acc) hi
-  in
-  go [] f
-
-let iter_sat ~nvars f k =
-  let env = Array.make nvars false in
-  (* enumerate assignments of variables [i .. nvars-1] under node [f] *)
-  let rec go i f =
-    if is_zero f then ()
-    else if i = nvars then k (Array.copy env)
-    else
-      match f.node with
-      | Node { var; hi; lo } when var = i ->
-        env.(i) <- true;
-        go (i + 1) hi;
-        env.(i) <- false;
-        go (i + 1) lo
-      | Zero | One | Node _ ->
-        env.(i) <- true;
-        go (i + 1) f;
-        env.(i) <- false;
-        go (i + 1) f
-  in
-  go 0 f
-
 (* ------------------------------------------------------------------ *)
 (* Bulk constructors                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -482,7 +311,6 @@ let cube_of_literals lits =
       else mk st i zero acc)
     one sorted
 
-let conj fs = List.fold_left band one fs
 let disj fs = List.fold_left bor zero fs
 
 let size f =
@@ -502,9 +330,3 @@ let size f =
   in
   go f;
   !count
-
-let rec pp ppf f =
-  match f.node with
-  | Zero -> Fmt.string ppf "0"
-  | One -> Fmt.string ppf "1"
-  | Node { var; hi; lo } -> Fmt.pf ppf "@[<hov 1>(x%d ? %a : %a)@]" var pp hi pp lo

@@ -40,13 +40,7 @@ val is_one : t -> bool
 val equal : t -> t -> bool
 (** Constant-time (physical) equality — sound and complete by canonicity. *)
 
-val compare : t -> t -> int
-(** A total order consistent with [equal] (compares unique tags). *)
-
 val hash : t -> int
-
-val top_var : t -> int
-(** Topmost (smallest-index) variable. @raise Invalid_argument on constants. *)
 
 val cofactors : t -> int * t * t
 (** [cofactors f] = [(v, f₁, f₀)]: the top variable and the two Shannon
@@ -62,8 +56,6 @@ val bnot : t -> t
 val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t
-val bimp : t -> t -> t
-(** [bimp f g] is [¬f ∨ g]. *)
 
 val intersects : t -> t -> bool
 (** [intersects f g] iff [f ∧ g] is satisfiable, decided without
@@ -80,25 +72,8 @@ val intersects : t -> t -> bool
     it halves the bridge's time against calling [band] first
     (doc/ALGORITHMS.md §14). *)
 
-val bite : t -> t -> t -> t
-(** [bite f g h] is if-then-else: [(f ∧ g) ∨ (¬f ∧ h)]. *)
-
 val bdiff : t -> t -> t
 (** [bdiff f g] is [f ∧ ¬g]. *)
-
-(** {1 Cofactors and quantification} *)
-
-val cofactor : t -> var:int -> bool -> t
-(** [cofactor f ~var b] substitutes the constant [b] for variable [var]. *)
-
-val exists : int list -> t -> t
-(** Existential quantification over the listed variables. *)
-
-val forall : int list -> t -> t
-(** Universal quantification over the listed variables. *)
-
-val support : t -> int list
-(** Variables the function actually depends on, in increasing order. *)
 
 (** {1 Semantics} *)
 
@@ -118,21 +93,12 @@ val sat_count : nvars:int -> t -> float
 (** Number of satisfying assignments over variables [0 .. nvars-1].
     Returned as a float to accommodate counts beyond [max_int]. *)
 
-val any_sat : t -> (int * bool) list
-(** One satisfying partial assignment (variables not listed are free).
-    @raise Not_found if the function is [zero]. *)
-
-val iter_sat : nvars:int -> t -> (bool array -> unit) -> unit
-(** Enumerate every minterm over [0 .. nvars-1]; intended for small [nvars]
-    (testing and minterm extraction on benchmark-sized functions). *)
-
 (** {1 Bulk constructors} *)
 
 val cube_of_literals : (int * bool) list -> t
 (** Conjunction of literals: [(i, true)] contributes [xᵢ], [(i, false)]
     contributes [¬xᵢ].  The empty list yields [one]. *)
 
-val conj : t list -> t
 val disj : t list -> t
 
 (** {1 Engine management} *)
@@ -143,30 +109,6 @@ val configure : ?initial_size:int -> unit -> unit
     shared atomic so worker domains inherit it, mirroring
     [Zdd.configure]. *)
 
-val clear_caches : unit -> unit
-(** Drop all operation caches (the unique table is retained, so canonicity
-    is preserved).  Useful between large independent computations. *)
-
 val node_count : unit -> int
-(** Number of live nodes in this domain's unique table. *)
-
-val peak_node_count : unit -> int
-(** High-water mark of {!node_count} over the manager's lifetime,
-    including across {!Gc} collections. *)
-
-(** Mark-and-sweep reclamation of dead nodes, mirroring [Zdd.Gc] in its
-    simplest form: callers supply every function they still need as
-    [roots]; everything unreachable is removed from the unique table and
-    the operation caches are invalidated (a stale cache hit must not
-    resurrect a swept node). *)
-module Gc : sig
-  type stats = { collections : int; reclaimed_total : int }
-
-  val collect : ?roots:t list -> unit -> int
-  (** Full sweep; returns the number of nodes reclaimed. *)
-
-  val stats : unit -> stats
-end
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer showing the DAG as nested if-then-else. *)
+(** Number of nodes in this domain's unique table.  Nothing is ever
+    reclaimed, so it only grows. *)

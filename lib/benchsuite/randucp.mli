@@ -50,9 +50,9 @@ val beasley :
   Covering.Matrix.t
 (** OR-Library-style set covering (Beasley's scp generator): columns are
     drawn first, each covering [rows_per_col] random rows; every row is
-    then guaranteed at least two covering columns.  The column-heavy shape
-    (thousands of candidate columns over few constraints) is what the
-    dynamic-pricing scheme of {!Lagrangian.Pricing} is for.
+    then guaranteed at least two covering columns: the column-heavy
+    shape, thousands of candidate columns over few constraints, where
+    the subgradient sweeps every column at each step.
     [cost_spread] as in {!cyclic} (default 9: costs 1-10, Beasley's
     convention scaled down). *)
 

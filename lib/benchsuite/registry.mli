@@ -66,7 +66,8 @@ val scale : unit -> instance list
     (CI-sized members of the {!Randucp} scale families):
     scale-planted-s and scale-planted-x carry exact cost certificates
     in [expected_cost]; scale-powerlaw, scale-beasley-wide and
-    scale-multi-8 stress pricing, dominance and the partition path. *)
+    scale-multi-8 stress greedy scores, dominance and the partition
+    path. *)
 
 val find : string -> instance
 (** @raise Not_found for unknown names. *)

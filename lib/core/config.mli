@@ -58,9 +58,9 @@ type t = {
           [Zdd.Gc].  Results are bit-identical for every value; the
           knob trades collection time for peak memory only. *)
   zdd_chain_reduction : bool;
-      (** chain-aware fast paths in the ZDD product/no_sub_set/no_sup_set
-          recursions (default true).  Results are bit-identical either
-          way; ablation and benchmarking knob. *)
+      (** chain-aware fast path in the superset removal of
+          [Zdd.minimal] (default true).  Results are bit-identical
+          either way; ablation and benchmarking knob. *)
   subgradient : Lagrangian.Subgradient.config;
 }
 

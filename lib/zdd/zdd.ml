@@ -3,10 +3,10 @@
    Canonical form: no node has [hi == empty] (zero-suppression) and every
    (var, hi, lo) triple is unique.  [empty] is the family {}, [base] is {∅}.
 
-   The subset/superset operations ([no_sup_set], [no_sub_set], [minimal],
-   [maximal]) implement implicit dominance removal; their recursions follow
-   the standard cube-set algebra (see e.g. Coudert, "Two-level logic
-   minimization: an overview", INTEGRATION 1994).
+   [minimal] implements implicit row dominance through [no_sup_set] (the
+   sets of one family that contain no set of another); both recursions
+   follow the standard cube-set algebra (see e.g. Coudert, "Two-level
+   logic minimization: an overview", INTEGRATION 1994).
 
    The unique table, tag counter and operation caches live in
    domain-local storage: each OCaml 5 domain owns a private manager, so
@@ -30,8 +30,6 @@ let base = { tag = 1; node = Base }
 let is_empty f = f.tag = 0
 let is_base f = f.tag = 1
 let equal f g = f == g
-let compare f g = Stdlib.compare f.tag g.tag
-let hash f = f.tag
 
 module Triple = struct
   type t = int * int * int
@@ -77,13 +75,9 @@ type state = {
   mutable next_tag : int;
   mutable peak : int;
   union_cache : t Cache2.t;
-  inter_cache : t Cache2.t;
   diff_cache : t Cache2.t;
-  product_cache : t Cache2.t;
   nosup_cache : t Cache2.t;
-  nosub_cache : t Cache2.t;
   minimal_cache : t Cache1.t;
-  maximal_cache : t Cache1.t;
   count_cache : float Cache1.t;
   (* lifecycle *)
   mutable young : (int * int * int) list;
@@ -111,13 +105,9 @@ let state_key : state Domain.DLS.key =
         next_tag = 2;
         peak = 0;
         union_cache = Cache2.create 4_096;
-        inter_cache = Cache2.create 4_096;
         diff_cache = Cache2.create 4_096;
-        product_cache = Cache2.create 4_096;
         nosup_cache = Cache2.create 4_096;
-        nosub_cache = Cache2.create 4_096;
         minimal_cache = Cache1.create 4_096;
-        maximal_cache = Cache1.create 4_096;
         count_cache = Cache1.create 4_096;
         young = [];
         allocs_since_gc = 0;
@@ -156,15 +146,6 @@ let peak_node_count () =
 
 let chain_hit_count () = (state ()).chain_hits
 
-let top_var f =
-  match f.node with
-  | Node { var; _ } -> var
-  | Empty | Base -> invalid_arg "Zdd.top_var: constant"
-
-let singleton v =
-  if v < 0 then invalid_arg "Zdd.singleton: negative element";
-  mk (state ()) v base empty
-
 let of_set elems =
   let sorted = List.sort_uniq Stdlib.compare elems in
   List.iter (fun v -> if v < 0 then invalid_arg "Zdd.of_set: negative element") sorted;
@@ -173,16 +154,10 @@ let of_set elems =
 
 let clear_caches_st st =
   Cache2.reset st.union_cache;
-  Cache2.reset st.inter_cache;
   Cache2.reset st.diff_cache;
-  Cache2.reset st.product_cache;
   Cache2.reset st.nosup_cache;
-  Cache2.reset st.nosub_cache;
   Cache1.reset st.minimal_cache;
-  Cache1.reset st.maximal_cache;
   Cache1.reset st.count_cache
-
-let clear_caches () = clear_caches_st (state ())
 
 (* ------------------------------------------------------------------ *)
 (* Unique-table lifecycle: mark-and-sweep collection                  *)
@@ -357,23 +332,6 @@ let rec contains_empty_set f =
   | Base -> true
   | Node { lo; _ } -> contains_empty_set lo
 
-let rec inter_st st f g =
-  if f == g then f
-  else if is_empty f || is_empty g then empty
-  else if is_base f then if contains_empty_set g then base else empty
-  else if is_base g then if contains_empty_set f then base else empty
-  else begin
-    let key = if f.tag <= g.tag then (f.tag, g.tag) else (g.tag, f.tag) in
-    match Cache2.find_opt st.inter_cache key with
-    | Some r -> r
-    | None ->
-      let v = top2 f g in
-      let f1, f0 = cof f v and g1, g0 = cof g v in
-      let r = mk st v (inter_st st f1 g1) (inter_st st f0 g0) in
-      Cache2.add st.inter_cache key r;
-      r
-  end
-
 let rec diff_st st f g =
   if f == g || is_empty f then empty
   else if is_empty g then f
@@ -400,22 +358,11 @@ let rec diff_st st f g =
   end
 
 let union f g = union_st (state ()) f g
-let inter f g = inter_st (state ()) f g
 let diff f g = diff_st (state ()) f g
 
 (* ------------------------------------------------------------------ *)
 (* Element-wise operations                                             *)
 (* ------------------------------------------------------------------ *)
-
-let subset1 f v =
-  let st = state () in
-  let rec go f =
-    match f.node with
-    | Empty | Base -> empty
-    | Node { var; hi; lo } ->
-      if var = v then hi else if var > v then empty else mk st var (go hi) (go lo)
-  in
-  go f
 
 let subset0 f v =
   let st = state () in
@@ -440,21 +387,17 @@ let change f v =
   in
   go f
 
-let project_out f v = union (subset0 f v) (subset1 f v)
-let restrict_without = subset0
-
 (* ------------------------------------------------------------------ *)
-(* Chain fast paths                                                     *)
+(* Chain fast path                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The implicit-UCP encodings are dominated by "chain" operands — a
-   family holding exactly one set, stored as a hi-spine with every lo
-   pointing at empty (Bryant's chain-reduction paper motivates exactly
-   this shape).  The generic recursions handle them correctly but churn
-   the caches and build throwaway unions; when one operand is a chain we
-   instead descend it as a sorted element list, allocating only the
-   result spine.  Detection walks the spine once and fails fast on the
-   first branching node. *)
+(* Row dominance meets "chain" operands — a family holding exactly one
+   set, stored as a hi-spine with every lo pointing at empty (Bryant's
+   chain-reduction paper motivates exactly this shape).  The generic
+   [no_sup_set] recursion handles them correctly but churns its cache;
+   when the second operand is a chain we instead descend it as a sorted
+   element list, allocating only the result spine.  Detection walks the
+   spine once and fails fast on the first branching node. *)
 
 let single_set f =
   let rec go acc f =
@@ -478,85 +421,9 @@ let rec remove_sup_chain st a t =
       else if var = v then mk st var (remove_sup_chain st hi rest) lo
       else mk st var (remove_sup_chain st hi t) (remove_sup_chain st lo t))
 
-(* [not_subsets_chain st a t] = no_sub_set a {t}: drop from [a] every
-   set contained in [t]. *)
-let rec not_subsets_chain st a t =
-  match a.node with
-  | Empty -> empty
-  | Base -> empty (* ∅ ⊆ t always *)
-  | Node { var; hi; lo } -> (
-    match t with
-    | [] ->
-      (* only ∅ ⊆ ∅; every hi set is non-empty *)
-      mk st var hi (not_subsets_chain st lo [])
-    | v :: rest ->
-      if var < v then
-        (* var ∉ t, so no hi set can be ⊆ t: the branch survives whole *)
-        mk st var hi (not_subsets_chain st lo t)
-      else if var = v then
-        mk st var (not_subsets_chain st hi rest) (not_subsets_chain st lo rest)
-      else not_subsets_chain st a rest)
-
-let build_chain st t =
-  List.fold_left (fun acc v -> mk st v acc empty) base (List.rev t)
-
-(* [insert_chain st g t] = product g {t} = { s ∪ t : s ∈ g }. *)
-let rec insert_chain st g t =
-  match t with
-  | [] -> g
-  | v :: rest -> (
-    match g.node with
-    | Empty -> empty
-    | Base -> build_chain st t
-    | Node { var; hi; lo } ->
-      if var < v then mk st var (insert_chain st hi t) (insert_chain st lo t)
-      else if var = v then
-        (* both branches gain v, so they merge under it *)
-        mk st v (insert_chain st (union_st st hi lo) rest) empty
-      else mk st v (insert_chain st g rest) empty)
-
 (* ------------------------------------------------------------------ *)
-(* Unate cube-set algebra                                              *)
+(* Dominance                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let rec product_st st f g =
-  if is_empty f || is_empty g then empty
-  else if is_base f then g
-  else if is_base g then f
-  else begin
-    let key = if f.tag <= g.tag then (f.tag, g.tag) else (g.tag, f.tag) in
-    match Cache2.find_opt st.product_cache key with
-    | Some r -> r
-    | None ->
-      let chain =
-        if not (Atomic.get cfg_chain) then None
-        else
-          match single_set f with
-          | Some t -> Some (insert_chain st g t)
-          | None -> (
-            match single_set g with
-            | Some t -> Some (insert_chain st f t)
-            | None -> None)
-      in
-      let r =
-        match chain with
-        | Some r ->
-          st.chain_hits <- st.chain_hits + 1;
-          r
-        | None ->
-          let v = top2 f g in
-          let f1, f0 = cof f v and g1, g0 = cof g v in
-          let hi =
-            union_st st (product_st st f1 g1)
-              (union_st st (product_st st f1 g0) (product_st st f0 g1))
-          in
-          mk st v hi (product_st st f0 g0)
-      in
-      Cache2.add st.product_cache key r;
-      r
-  end
-
-let product f g = product_st (state ()) f g
 
 let rec no_sup_set_st st a b =
   (* { s ∈ a : no t ∈ b with t ⊆ s } *)
@@ -597,53 +464,6 @@ let rec no_sup_set_st st a b =
       r
   end
 
-let no_sup_set a b = no_sup_set_st (state ()) a b
-
-let rec no_sub_set_st st a b =
-  (* { s ∈ a : no t ∈ b with s ⊆ t } *)
-  if is_empty a || is_empty b then a
-  else if is_base a then empty (* ∅ ⊆ every member of the non-empty b *)
-  else if a == b then empty
-  else begin
-    let key = (a.tag, b.tag) in
-    match Cache2.find_opt st.nosub_cache key with
-    | Some r -> r
-    | None ->
-      let chain =
-        if Atomic.get cfg_chain then single_set b else None
-      in
-      let r =
-        match chain with
-        | Some t ->
-          st.chain_hits <- st.chain_hits + 1;
-          not_subsets_chain st a t
-        | None -> (
-          match (a.node, b.node) with
-        | Node { var = va; hi = ha; lo = la }, Node { var = vb; hi = hb; lo = lb }
-          when va = vb ->
-          mk st va (no_sub_set_st st ha hb) (no_sub_set_st st la (union_st st lb hb))
-        | Node { var = va; hi = ha; lo = la }, Node { var = vb; _ } when va < vb ->
-          (* sets containing va cannot be ⊆ any t ∈ b (no t has va), so the
-             whole hi branch survives verbatim *)
-          mk st va ha (no_sub_set_st st la b)
-        | Node _, Node { hi = hb; lo = lb; _ } ->
-          (* vb < va: s lacks vb, so s ⊆ t∪{vb} iff s ⊆ t *)
-          no_sub_set_st st a (union_st st hb lb)
-        | Node _, Base ->
-          (* only ∅ is a subset of ∅: drop it from a if present *)
-          diff_st st a b
-          | (Empty | Base | Node _), Empty | (Empty | Base), (Base | Node _) ->
-            assert false)
-      in
-      Cache2.add st.nosub_cache key r;
-      r
-  end
-
-let no_sub_set a b = no_sub_set_st (state ()) a b
-
-let sup_set a b = diff a (no_sup_set a b)
-let sub_set a b = diff a (no_sub_set a b)
-
 let minimal f =
   let st = state () in
   let rec go f =
@@ -657,23 +477,6 @@ let minimal f =
         let hi' = no_sup_set_st st (go hi) lo' in
         let r = mk st var hi' lo' in
         Cache1.add st.minimal_cache f.tag r;
-        r)
-  in
-  go f
-
-let maximal f =
-  let st = state () in
-  let rec go f =
-    match f.node with
-    | Empty | Base -> f
-    | Node { var; hi; lo } -> (
-      match Cache1.find_opt st.maximal_cache f.tag with
-      | Some r -> r
-      | None ->
-        let hi' = go hi in
-        let lo' = no_sub_set_st st (go lo) hi' in
-        let r = mk st var hi' lo' in
-        Cache1.add st.maximal_cache f.tag r;
         r)
   in
   go f
@@ -720,44 +523,6 @@ let support f =
   in
   go f;
   List.sort_uniq Stdlib.compare !acc
-
-let min_card f =
-  let memo : int Cache1.t = Cache1.create 256 in
-  let rec go f =
-    match f.node with
-    | Empty -> max_int
-    | Base -> 0
-    | Node { hi; lo; _ } -> (
-      match Cache1.find_opt memo f.tag with
-      | Some c -> c
-      | None ->
-        let via_hi =
-          let h = go hi in
-          if h = max_int then max_int else h + 1
-        in
-        let c = min via_hi (go lo) in
-        Cache1.add memo f.tag c;
-        c)
-  in
-  if is_empty f then invalid_arg "Zdd.min_card: empty family";
-  go f
-
-let rec choose f =
-  match f.node with
-  | Empty -> raise Not_found
-  | Base -> []
-  | Node { var; hi; lo } -> if is_empty lo then var :: choose hi else choose lo
-
-let rec mem s f =
-  match (s, f.node) with
-  | [], _ -> contains_empty_set f
-  | _, (Empty | Base) -> false
-  | v :: rest, Node { var; hi; lo } ->
-    let s = List.sort_uniq Stdlib.compare (v :: rest) in
-    (match s with
-    | [] -> assert false
-    | v :: rest ->
-      if var = v then mem rest hi else if var > v then false else mem s lo)
 
 let iter_sets f k =
   let rec go prefix f =
@@ -863,19 +628,3 @@ let size f =
   in
   go f;
   !n
-
-let pp ppf f =
-  let max_shown = 24 in
-  let shown = ref 0 in
-  let pp_set ppf s =
-    Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") int) s
-  in
-  Fmt.pf ppf "@[<hov 1>{";
-  (try
-     iter_sets f (fun s ->
-         if !shown >= max_shown then raise Exit;
-         if !shown > 0 then Fmt.pf ppf ";@ ";
-         pp_set ppf s;
-         incr shown)
-   with Exit -> Fmt.pf ppf ";@ ...");
-  Fmt.pf ppf "}@]"

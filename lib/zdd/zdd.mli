@@ -28,9 +28,6 @@ val empty : t
 val base : t
 (** The family {∅}. *)
 
-val singleton : elt -> t
-(** [singleton v] is {{v}}: one set holding one element. *)
-
 val of_set : elt list -> t
 (** The family containing exactly the given set (duplicates ignored). *)
 
@@ -56,12 +53,6 @@ val of_arrays : elt array array -> t
 val is_empty : t -> bool
 val is_base : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-
-val top_var : t -> elt
-(** Smallest element appearing in the family.
-    @raise Invalid_argument on [empty] and [base]. *)
 
 val size : t -> int
 (** Number of internal DAG nodes. *)
@@ -69,21 +60,10 @@ val size : t -> int
 val count : t -> float
 (** Number of sets in the family (exact for < 2⁵³). *)
 
-val contains_empty_set : t -> bool
-(** Whether ∅ belongs to the family. *)
-
-val mem : elt list -> t -> bool
-(** [mem s zdd] tests membership of the set [s]. *)
-
 (** {1 Set-family algebra} *)
 
 val union : t -> t -> t
-val inter : t -> t -> t
 val diff : t -> t -> t
-
-val subset1 : t -> elt -> t
-(** [subset1 f v]: the sets of [f] containing [v], with [v] removed.
-    (Minato's cofactor; "onset".) *)
 
 val subset0 : t -> elt -> t
 (** [subset0 f v]: the sets of [f] not containing [v]. ("offset".) *)
@@ -91,40 +71,11 @@ val subset0 : t -> elt -> t
 val change : t -> elt -> t
 (** [change f v] toggles membership of [v] in every set of [f]. *)
 
-val project_out : t -> elt -> t
-(** [project_out f v] removes [v] from every set:
-    [union (subset0 f v) (subset1 f v)]. *)
-
-val restrict_without : t -> elt -> t
-(** Sets of [f] that do not contain [v], kept verbatim (alias of
-    {!subset0}, named for covering-matrix readability). *)
-
-(** {1 Cube-set (unate) algebra} *)
-
-val product : t -> t -> t
-(** Unate product: all pairwise unions \{s ∪ t : s ∈ a, t ∈ b\}. *)
-
-val no_sup_set : t -> t -> t
-(** [no_sup_set a b] keeps the sets of [a] that are a superset of no set of
-    [b]: \{s ∈ a : ∄ t ∈ b, t ⊆ s\}.  The workhorse of dominance removal. *)
-
-val no_sub_set : t -> t -> t
-(** [no_sub_set a b] keeps the sets of [a] that are a subset of no set of
-    [b]: \{s ∈ a : ∄ t ∈ b, s ⊆ t\}. *)
-
-val sup_set : t -> t -> t
-(** [sup_set a b] = \{s ∈ a : ∃ t ∈ b, t ⊆ s\} (complement of
-    {!no_sup_set} within [a]). *)
-
-val sub_set : t -> t -> t
-(** [sub_set a b] = \{s ∈ a : ∃ t ∈ b, s ⊆ t\}. *)
+(** {1 Dominance} *)
 
 val minimal : t -> t
 (** Minimal sets of the family: those containing no other member.
     Implicit row-dominance in one operation. *)
-
-val maximal : t -> t
-(** Maximal sets of the family. *)
 
 (** {1 Queries for covering} *)
 
@@ -135,22 +86,16 @@ val singletons : t -> elt list
 val support : t -> elt list
 (** All elements appearing in at least one set, increasing order. *)
 
-val min_card : t -> int
-(** Cardinality of a smallest set. @raise Invalid_argument on [empty]. *)
-
-val choose : t -> elt list
-(** An arbitrary member set. @raise Not_found on [empty]. *)
-
 (** {1 Enumeration} *)
 
-val iter_sets : t -> (elt list -> unit) -> unit
-(** Apply the function to every member set (elements in increasing order).
-    Intended for decode-to-explicit when the family is small. *)
-
 val fold_sets : t -> init:'a -> f:('a -> elt list -> 'a) -> 'a
+(** Fold over every member set (elements in increasing order) in
+    depth-first order: at each element, the sets holding it come before
+    the sets without it.  Intended for decode-to-explicit when the
+    family is small. *)
+
 val to_sets : t -> elt list list
-(** All member sets, lexicographically by the enumeration order of
-    {!iter_sets}. *)
+(** All member sets, in the order of {!fold_sets}. *)
 
 (** {1 Engine management}
 
@@ -181,10 +126,9 @@ val configure :
     (default 4_096, clamped to ≥ 16).  [gc_threshold] is the number of
     fresh allocations between automatic {!Gc.maybe_collect} collections
     (default 262_144); [0] disables automatic collection entirely.
-    [chain_reduction] toggles the chain-aware fast paths in {!product},
-    {!no_sup_set} and {!no_sub_set} (default [true]). *)
-
-val clear_caches : unit -> unit
+    [chain_reduction] toggles the chain-aware fast path of {!minimal}:
+    removing the supersets of a family that holds one set, by walking
+    that set as a list (default [true]). *)
 
 val node_count : unit -> int
 (** Current unique-table occupancy on this domain.  Grows with
@@ -227,5 +171,3 @@ module Gc : sig
   val stats : unit -> stats
 end
 
-val pp : Format.formatter -> t -> unit
-(** Debug printer: the family as a list of sets (truncated when large). *)

@@ -185,16 +185,19 @@ let prop_lp_certificate =
       L.Lp.check m (L.Lp.solve m))
 
 let prop_proposition1_chain =
-  (* the full bound hierarchy: MIS <= DA <= subgradient LB <= LP <= OPT *)
+  (* the full bound hierarchy: MIS <= DA <= subgradient LB <= LP <= OPT,
+     and the same run's best w_LD(μ) bounds the LP from above *)
   QCheck.Test.make ~name:"Proposition 1: MIS <= DA <= SG <= LP <= OPT" ~count:80
     TS.arb_seed (fun seed ->
       let m = TS.small_matrix_of_seed seed in
       let mis = float_of_int (Mis_bound.compute m).Mis_bound.bound in
       let da = (L.Dual_ascent.run m).L.Dual_ascent.value in
-      let sg = (L.Subgradient.run m).L.Subgradient.lower_bound in
+      let run = L.Subgradient.run m in
+      let sg = run.L.Subgradient.lower_bound in
       let lp = (L.Lp.solve m).L.Lp.value in
       let opt = float_of_int (optimum m) in
-      mis <= da +. 1e-6 && da <= lp +. 1e-6 && sg <= lp +. 1e-6 && lp <= opt +. 1e-6)
+      mis <= da +. 1e-6 && da <= lp +. 1e-6 && sg <= lp +. 1e-6 && lp <= opt +. 1e-6
+      && lp <= run.L.Subgradient.upper_dual +. 1e-6)
 
 let prop_lp_dual_is_valid_multiplier =
   (* any optimal dual is an optimal Lagrangian multiplier vector (§3.3) *)
@@ -209,35 +212,6 @@ let prop_lp_dual_is_valid_multiplier =
 let prop_lp_empty_matrix () =
   let m = Matrix.create ~n_cols:3 [] in
   Alcotest.(check (float 0.)) "empty LP" 0. (L.Lp.solve m).L.Lp.value
-
-(* ------------------------------------------------------------------ *)
-(* Pricing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let prop_pricing_bounds_valid =
-  QCheck.Test.make ~name:"pricing: LB and incumbent bracket the optimum" ~count:60
-    TS.arb_seed (fun seed ->
-      let m = TS.medium_matrix_of_seed seed in
-      let out = L.Pricing.run m in
-      let e = Exact.solve m in
-      Matrix.covers m out.L.Subgradient.best_solution
-      && ((not e.Exact.optimal)
-         || (out.L.Subgradient.best_cost >= e.Exact.cost
-            && out.L.Subgradient.lower_bound <= float_of_int e.Exact.cost +. 1e-6)))
-
-let prop_pricing_close_to_plain =
-  (* the priced bound must not collapse: within 10% of the full-matrix
-     subgradient bound on these sizes *)
-  QCheck.Test.make ~name:"pricing bound close to the full bound" ~count:30 TS.arb_seed
-    (fun seed ->
-      let m = TS.medium_matrix_of_seed seed in
-      let plain = (L.Subgradient.run m).L.Subgradient.lower_bound in
-      let priced = (L.Pricing.run m).L.Subgradient.lower_bound in
-      priced >= (0.9 *. plain) -. 1e-6)
-
-let test_pricing_empty () =
-  let m = Matrix.create ~n_cols:2 [] in
-  Alcotest.(check int) "cost 0" 0 (L.Pricing.run m).L.Subgradient.best_cost
 
 (* ------------------------------------------------------------------ *)
 (* Penalties                                                          *)
@@ -685,12 +659,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_proposition1_chain;
           QCheck_alcotest.to_alcotest prop_lp_dual_is_valid_multiplier;
           Alcotest.test_case "empty matrix" `Quick prop_lp_empty_matrix;
-        ] );
-      ( "pricing",
-        [
-          QCheck_alcotest.to_alcotest prop_pricing_bounds_valid;
-          QCheck_alcotest.to_alcotest prop_pricing_close_to_plain;
-          Alcotest.test_case "empty" `Quick test_pricing_empty;
         ] );
       ( "penalties",
         [

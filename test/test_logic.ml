@@ -399,52 +399,6 @@ let test_pla_file_io () =
   Sys.remove path;
   Alcotest.(check int) "ni from file" 3 pla.Pla.ni
 
-(* ------------------------------------------------------------------ *)
-(* ISOP                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_isop_simple () =
-  (* f = x0 x1 + x0' : an ISOP has two cubes *)
-  let on = cover_of_strings 2 [ "11"; "0-" ] in
-  let cubes = Isop.compute_cubes ~nvars:2 ~on ~dc:(Cover.empty 2) in
-  Alcotest.(check int) "two cubes" 2 (List.length cubes);
-  check "semantics" true
-    (Cover.equal_semantics (Cover.of_cubes 2 cubes) on)
-
-let prop_isop_interval_and_irredundant =
-  QCheck.Test.make ~name:"isop: within interval and irredundant" ~count:80
-    (QCheck.make (QCheck.Gen.int_bound 1_000_000)) (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let n = 3 + Random.State.int rng 3 in
-      let on = random_cover rng n 5 in
-      let dc = random_cover rng n 2 in
-      let cubes = Isop.compute_cubes ~nvars:n ~on ~dc in
-      let f = Cover.of_cubes n cubes in
-      let fb = Cover.to_bdd f
-      and onb = Cover.to_bdd on
-      and careb = Bdd.bor (Cover.to_bdd on) (Cover.to_bdd dc) in
-      let interval = Bdd.implies onb fb && Bdd.implies fb careb in
-      (* irredundancy: dropping any cube must uncover part of ON *)
-      let irredundant =
-        List.for_all
-          (fun c ->
-            let rest =
-              Cover.of_cubes n (List.filter (fun d -> not (Cube.equal c d)) cubes)
-            in
-            not (Bdd.implies onb (Cover.to_bdd rest)))
-          cubes
-      in
-      interval && irredundant)
-
-let prop_isop_at_most_minterms =
-  QCheck.Test.make ~name:"isop never exceeds the minterm count" ~count:60
-    (QCheck.make (QCheck.Gen.int_bound 1_000_000)) (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let n = 3 + Random.State.int rng 2 in
-      let on = random_cover rng n 4 in
-      let cubes = Isop.compute_cubes ~nvars:n ~on ~dc:(Cover.empty n) in
-      List.length cubes <= List.length (Cover.minterms on))
-
 let () =
   Alcotest.run "logic"
     [
@@ -487,12 +441,6 @@ let () =
           Alcotest.test_case "fr type" `Quick test_pla_fr_type;
           Alcotest.test_case "file io" `Quick test_pla_file_io;
           Alcotest.test_case "errors" `Quick test_pla_errors;
-        ] );
-      ( "isop",
-        [
-          Alcotest.test_case "simple" `Quick test_isop_simple;
-          QCheck_alcotest.to_alcotest prop_isop_interval_and_irredundant;
-          QCheck_alcotest.to_alcotest prop_isop_at_most_minterms;
         ] );
       ( "primes",
         [
