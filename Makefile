@@ -1,6 +1,6 @@
 # Convenience wrappers; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke bench-dense bench-serve bench-zdd bench-scale bench-check-dense bench-check-serve bench-check-zdd bench-check-scale fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
+.PHONY: all build test bench bench-quick bench-smoke fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
 
 all: build
 
@@ -24,56 +24,6 @@ bench-quick:
 # (--no-csv: partial runs must not clobber a full run's bench_results.csv)
 bench-smoke:
 	dune exec bench/main.exe -- --no-csv --table easy
-
-# dense bit-slice kernels vs the sparse lists: registry-wide identity
-# sweep plus kernel timings on the dense+difficult suites, leaving
-# BENCH_dense.json behind
-bench-dense:
-	dune exec bench/main.exe -- --no-csv --table dense --reduce-reps 5 \
-	  --dense-json BENCH_dense.json
-
-# ZDD manager lifecycle: the row-family build, then the generational
-# collector and chain fast paths on the full implicit fixpoint (registry
-# suites plus seeded large instances), leaving BENCH_zdd.json behind;
-# every gated fact is machine-independent (fingerprints, gc-on peaks,
-# the node ceiling, chain hits)
-bench-zdd:
-	dune exec bench/main.exe -- --no-csv --table zdd --zdd-json BENCH_zdd.json
-
-# big-instance pipeline: the adversarial scale tier (planted/powerlaw/
-# beasley-wide/multi-component) stream-parsed in both text formats,
-# fold-memory gauged, then solved under a deterministic 2000-step
-# budget so the gated costs are machine-independent; plus the
-# espresso/KISS routing checks.  Leaves BENCH_scale.json behind.
-bench-scale:
-	dune exec bench/main.exe -- --no-csv --table scale \
-	  --scale-json BENCH_scale.json
-
-# regression gates: each re-runs the benchmark its committed baseline
-# describes and compares (speedup ratios for the dense baseline, so the
-# gate is machine-independent); nonzero exit on regression
-bench-check-dense:
-	dune exec bench/main.exe -- --check bench/BASELINE_dense.json
-
-# the ucp_serve daemon under load: throughput + warm cache, forced
-# overload shedding, and the fault-injection torture mix, leaving
-# BENCH_serve.json behind; the check variant gates on the committed
-# baseline (booleans and counts only — never wall-clock)
-bench-serve:
-	dune exec bench/main.exe -- --no-csv --table serve \
-	  --serve-json BENCH_serve.json
-
-bench-check-serve:
-	dune exec bench/main.exe -- --check bench/BASELINE_serve.json
-
-bench-check-zdd:
-	dune exec bench/main.exe -- --check bench/BASELINE_zdd.json
-
-# scale gate: streaming round-trip identity, planted certificates,
-# fold-memory ratios and the routing booleans against the committed
-# baseline (budgeted costs compared exactly — never wall-clock)
-bench-check-scale:
-	dune exec bench/main.exe -- --check bench/BASELINE_scale.json
 
 # resource-governor sanity: the fault-injection and typed-failure suites
 # plus the CLI exit-code contract (also part of the default `dune runtest`)
@@ -104,8 +54,8 @@ metrics-smoke:
 # parser round-trips, fold memory), then ucp_gen -> ucp_solve through
 # the shipped binaries with the planted certificate grepped from the
 # answer and the truncated/garbage exit-code contract re-pinned.
-# UCP_SCALE_BIG=1 widens the suite to the >= 100 MB stream and the
-# 10^5-column solve.
+# UCP_SCALE_BIG=1 widens the suite to the >= 100 MB stream, the
+# 10^5-column solve and the 512-state KISS machine.
 scale-smoke:
 	dune build @scale-smoke
 

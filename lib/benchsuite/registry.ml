@@ -14,7 +14,6 @@ type instance = {
   name : string;
   category : category;
   problem : problem Lazy.t;
-  expected_cost : int option;
 }
 
 let string_of_category = function
@@ -24,14 +23,13 @@ let string_of_category = function
   | Challenging -> "challenging"
   | Scale -> "scale"
 
-let raw ?expected_cost name category build =
-  { name; category; problem = lazy (Raw (build ())); expected_cost }
+let raw name category build = { name; category; problem = lazy (Raw (build ())) }
 
-let two_level ?expected_cost name category build =
-  { name; category; problem = lazy (Two_level (build ())); expected_cost }
+let two_level name category build =
+  { name; category; problem = lazy (Two_level (build ())) }
 
-let multi_level ?expected_cost name category build =
-  { name; category; problem = lazy (Multi_level (build ())); expected_cost }
+let multi_level name category build =
+  { name; category; problem = lazy (Multi_level (build ())) }
 
 (* Seeded random multi-output PLAs: the suite's nod to the fact that the
    Berkeley instances are multi-output (1-109 outputs). *)
@@ -137,8 +135,7 @@ let difficult_instances =
    is already near-optimal on them.  The cyclic cores the paper's
    heuristic actually grinds on (unate covers of prime tables) are far
    denser; this suite models that regime — every row covers 20-45% of
-   the columns — and is what `bench --table dense` times the
-   word-parallel kernels on. *)
+   the columns — and is where the word-parallel kernels pay. *)
 let dense_cyc name ~n_rows ~n_cols ~density ?cost_spread () =
   raw name Dense_cyclic (fun () ->
       Randucp.dense_cyclic ~name ~n_rows ~n_cols ~density ?cost_spread ())
@@ -198,11 +195,11 @@ let challenging_instances =
    arbitrarily larger siblings of each. *)
 let scale_instances =
   [
-    raw "scale-planted-s" Scale ~expected_cost:800 (fun () ->
+    raw "scale-planted-s" Scale (fun () ->
         fst
           (Randucp.planted ~name:"scale-planted-s" ~blocks:400 ~rows_per_block:6
              ~decoys_per_block:3 ()));
-    raw "scale-planted-x" Scale ~expected_cost:300 (fun () ->
+    raw "scale-planted-x" Scale (fun () ->
         fst
           (Randucp.planted ~name:"scale-planted-x" ~blocks:150 ~rows_per_block:8
              ~decoys_per_block:4 ~cross:30 ()));

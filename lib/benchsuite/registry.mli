@@ -9,15 +9,14 @@
       the exact solver can still finish;
     - {e dense cyclic} (5 instances, ours): row-regular cores whose rows
       cover 20-45% of the columns — the dense-core regime the bit-slice
-      kernels ({!Covering.Dense}) target, timed by [bench --table dense];
+      kernels ({!Covering.Dense}) target;
     - {e challenging} (16 instances — Table 2/4): large cyclic cores; on
       the biggest, the exact solver exhausts its budget and only reports an
       incumbent, reproducing the "H"-marked rows of the paper;
     - {e scale} (5 instances, ours): CI-sized members of the adversarial
       generator families ({!Randucp.planted}, {!Randucp.powerlaw},
-      {!Randucp.multi_component}, wide {!Randucp.beasley}) used by
-      [bench --table scale]; the planted ones carry exact cost
-      certificates in [expected_cost].
+      {!Randucp.multi_component}, wide {!Randucp.beasley}); the planted
+      ones have certified optima, twice their block counts.
 
     Instances are deterministic functions of their names; the absolute
     sizes are scaled down from the 1999 originals so the full harness runs
@@ -44,9 +43,6 @@ type instance = {
   name : string;
   category : category;
   problem : problem Lazy.t;
-  expected_cost : int option;
-      (** known optimal cost, when the construction certifies one
-          (the planted scale instances); [None] elsewhere *)
 }
 
 val all : unit -> instance list
@@ -62,12 +58,11 @@ val challenging : unit -> instance list
     soar.pla test2 test3 ti ts10 x2dn xparc. *)
 
 val scale : unit -> instance list
-(** The 5 adversarial large instances behind [bench --table scale]
-    (CI-sized members of the {!Randucp} scale families):
-    scale-planted-s and scale-planted-x carry exact cost certificates
-    in [expected_cost]; scale-powerlaw, scale-beasley-wide and
-    scale-multi-8 stress greedy scores, dominance and the partition
-    path. *)
+(** The 5 adversarial large instances (CI-sized members of the
+    {!Randucp} scale families): scale-planted-s and scale-planted-x
+    have certified optima (800 and 300); scale-powerlaw,
+    scale-beasley-wide and scale-multi-8 stress greedy scores,
+    dominance and the partition path. *)
 
 val find : string -> instance
 (** @raise Not_found for unknown names. *)

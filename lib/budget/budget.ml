@@ -118,11 +118,6 @@ let interrupt t =
 let interrupted t =
   match t.limits with None -> false | Some l -> Atomic.get l.interrupted
 
-let remaining_seconds t =
-  match t.limits with
-  | Some l when l.deadline_at < infinity -> Some (l.deadline_at -. l.now ())
-  | _ -> None
-
 let tick t site =
   match t.limits with
   | None -> false

@@ -162,9 +162,6 @@ val fork : t -> t
     and trip are its own: forking and ticking a child never change
     [g]'s. *)
 
-val remaining_seconds : t -> float option
-(** Time left before the deadline, if one was set. *)
-
 val pp_site : Format.formatter -> site -> unit
 val pp_reason : Format.formatter -> reason -> unit
 val pp_trip : Format.formatter -> trip -> unit

@@ -35,8 +35,8 @@ type t
 
 val default_threshold : int
 (** Default cap on [rows * cols] for building a mirror (2{^20} cells ≈
-    260 KB of mirror; chosen from [bench --table dense] data — cyclic
-    cores are far below it, the huge sparse instances far above). *)
+    260 KB of mirror; cyclic cores are far below it, the huge sparse
+    instances far above). *)
 
 val min_density : float
 (** Density below which a word scan does more work than the sparse

@@ -4,7 +4,6 @@ type t = {
   minterms : int array;
 }
 
-let product_cost _ = 1
 let literal_cost = Logic.Cube.literal_count
 
 let lexicographic_cost ~nvars c =

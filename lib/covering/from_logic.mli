@@ -28,9 +28,6 @@ type t = {
   minterms : int array;  (** row [i] is this ON-minterm (value bitmask) *)
 }
 
-val product_cost : Logic.Cube.t -> int
-(** [fun _ -> 1]: the paper's primary objective (number of products). *)
-
 val literal_cost : Logic.Cube.t -> int
 (** Literal count per product. *)
 

@@ -203,9 +203,6 @@ let parse_orlib_file ?budget path =
 let parse_orlib_result ?budget text =
   Parse_error.result (fun () -> parse_orlib ?budget text)
 
-let parse_orlib_file_result ?budget path =
-  Parse_error.file_result path (fun path -> parse_orlib_file ?budget path)
-
 let output_orlib oc m =
   Printf.fprintf oc "%d %d\n" (Matrix.n_rows m) (Matrix.n_cols m);
   for j = 0 to Matrix.n_cols m - 1 do

@@ -65,9 +65,6 @@ val parse_orlib_file : ?budget:Budget.t -> string -> Matrix.t
 val parse_orlib_result :
   ?budget:Budget.t -> string -> (Matrix.t, Logic.Parse_error.error) result
 
-val parse_orlib_file_result :
-  ?budget:Budget.t -> string -> (Matrix.t, Logic.Parse_error.error) result
-
 val stream_orlib :
   Logic.Reader.t ->
   dims:(n_rows:int -> n_cols:int -> unit) ->

@@ -229,10 +229,6 @@ let minimise ?(budget = Budget.none) ?(telemetry = Telemetry.null) ?(mode = Norm
     interrupted = !interrupted;
   }
 
-let minimise_pla ?budget ?telemetry ?mode pla ~output =
-  minimise ?budget ?telemetry ?mode ~on:(Logic.Pla.onset pla output)
-    ~dc:(Logic.Pla.dcset pla output) ()
-
 type pla_result = {
   covers : Cover.t array;
   distinct_products : int;

@@ -52,14 +52,6 @@ val minimise :
     {!Budget.Clock}, the same wall clock the governor's deadline uses.
     @raise Invalid_argument if arities differ. *)
 
-val minimise_pla :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?mode:mode ->
-  Logic.Pla.t ->
-  output:int ->
-  result
-
 type pla_result = {
   covers : Logic.Cover.t array;  (** one minimised cover per output *)
   distinct_products : int;

@@ -39,14 +39,6 @@ let analyse m =
 
 let pairs_incompatible t s u = s <> u && not t.compatible.(s).(u)
 
-let is_compatible_set t set =
-  let rec go = function
-    | [] -> true
-    | s :: rest ->
-      List.for_all (fun u -> not (pairs_incompatible t s u)) rest && go rest
-  in
-  go set
-
 let all_compatibles ?(limit = 100_000) t =
   let n = Machine.n_states t.machine in
   let acc = ref [] in

@@ -26,9 +26,6 @@ val analyse : Machine.t -> t
 
 val pairs_incompatible : t -> int -> int -> bool
 
-val is_compatible_set : t -> int list -> bool
-(** Pairwise compatibility of a state set. *)
-
 val all_compatibles : ?limit:int -> t -> int list list
 (** Every non-empty compatible (clique of the compatibility graph), each
     sorted ascending; the list is sorted by decreasing size then

@@ -39,8 +39,7 @@ let parse_reader r =
   and kind = ref FD
   and ilb = ref None
   and ob = ref None
-  and rows = ref []
-  and declared_p = ref None in
+  and rows = ref [] in
   let stop = ref false in
   while not !stop do
     match Reader.next_line r with
@@ -56,7 +55,8 @@ let parse_reader r =
         match ws with
         | [ (".i", _); n ] -> ni := int_of n
         | [ (".o", _); n ] -> no := int_of n
-        | [ (".p", _); n ] -> declared_p := Some (int_of n)
+        (* the product count is advisory, as in espresso *)
+        | [ (".p", _); n ] -> ignore (int_of n)
         | [ (".type", _); (k, kcol) ] -> kind := kind_of_string ~col:kcol ~line:lineno k
         | (".ilb", _) :: labels -> ilb := Some (Array.of_list (List.map fst labels))
         | (".ob", _) :: labels -> ob := Some (Array.of_list (List.map fst labels))
@@ -93,11 +93,6 @@ let parse_reader r =
   if !ni < 0 then Parse_error.raise_at ~line:0 "missing .i";
   if !no < 0 then Parse_error.raise_at ~line:0 "missing .o";
   let rows = List.rev !rows in
-  (match !declared_p with
-  | Some p when p <> List.length rows ->
-    (* espresso treats .p as advisory; we only warn via Logs-free means *)
-    ()
-  | Some _ | None -> ());
   {
     ni = !ni;
     no = !no;
@@ -134,13 +129,6 @@ let to_string t =
     t.rows;
   Buffer.add_string buf ".e\n";
   Buffer.contents buf
-
-let output_count_check t =
-  List.iter
-    (fun (_, out) ->
-      if String.length out <> t.no then
-        Parse_error.raise_at ~line:0 "output plane width mismatch")
-    t.rows
 
 let select t k wanted =
   Cover.of_cubes t.ni

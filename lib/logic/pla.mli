@@ -61,6 +61,3 @@ val offset : t -> int -> Cover.t
 val single_output : ni:int -> on:Cover.t -> dc:Cover.t -> t
 (** Wrap a single-output function (type [fd]). *)
 
-val output_count_check : t -> unit
-(** @raise Parse_error.Parse_error if some row's output plane has the
-    wrong width. *)

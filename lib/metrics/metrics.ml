@@ -224,16 +224,6 @@ let gauge t name sample = ignore (intern t name (fun () -> M_gauge sample))
 let register_telemetry_probes t =
   List.iter (fun (name, sample) -> gauge t name sample) (Telemetry.probes ())
 
-let find_counter t name =
-  match List.assoc_opt name (Atomic.get t) with
-  | Some (M_counter c) -> Some c
-  | _ -> None
-
-let find_histogram t name =
-  match List.assoc_opt name (Atomic.get t) with
-  | Some (M_histogram h) -> Some h
-  | _ -> None
-
 let snapshot_json t =
   let metrics = Atomic.get t in
   let pick f = List.filter_map f metrics in

@@ -120,6 +120,3 @@ val snapshot_json : t -> Json.t
 (** [{counters:{name:int}, gauges:{name:float}, histograms:{name:...}}]
     — the [STATS] payload.  Counters and histogram cells are atomic
     reads; gauges are sampled now. *)
-
-val find_counter : t -> string -> Counter.t option
-val find_histogram : t -> string -> Histogram.t option

@@ -1,8 +1,7 @@
 (** Load generation against a running daemon: deterministic request
     mixes, concurrent lanes, latency percentiles, and a JSON report.
 
-    Shared by [ucp_load] (the CLI), the serve benchmark
-    ([bench --table serve]) and the torture test.  Payload generation
+    Shared by [ucp_load] (the CLI) and the torture test.  Payload generation
     is seeded, so a (seed, size) pair names the same workload
     everywhere. *)
 

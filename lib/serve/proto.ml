@@ -51,18 +51,6 @@ let all_codes =
 
 let code_of_string s = List.find_opt (fun c -> string_of_code c = s) all_codes
 
-(* 0/3/4/7 mirror the ucp_solve exit-code contract; 8/9/10 are the
-   daemon-only outcomes, above the solver's range so scripts can tell
-   them apart *)
-let exit_code = function
-  | OK -> 0
-  | FEASIBLE_BUDGET -> 3
-  | PARSE_ERROR -> 4
-  | INFEASIBLE -> 7
-  | OVERLOAD -> 8
-  | SHUTDOWN -> 9
-  | INTERNAL_ERROR -> 10
-
 type request = {
   verb : verb;
   format : format option;

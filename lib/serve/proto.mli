@@ -21,8 +21,10 @@
 
     The response body of a successful solve is one JSON object (cost,
     lower bound, status, solution columns, seconds); error bodies are
-    plain text.  Response codes map onto the [ucp_solve] exit-code
-    contract — see {!exit_code} and DESIGN.md §14 for the table.
+    plain text.  Where a response code shares its meaning with a
+    [ucp_solve] outcome, DESIGN.md §14 gives that exit code beside it.
+    [ucp_load] does not exit with response codes: it exits 0 when every
+    request got the code it expected and 1 otherwise.
 
     Framing errors ({!Wire_error}) are the {e transport}-level analogue
     of a parse error: the daemon answers [PARSE_ERROR] (best effort) and
@@ -64,12 +66,6 @@ type code =
 
 val string_of_code : code -> string
 val code_of_string : string -> code option
-
-val exit_code : code -> int
-(** The consolidated response-code ↔ exit-code table ([ucp_load]
-    exits with the worst code it saw): [OK]→0, [FEASIBLE_BUDGET]→3,
-    [PARSE_ERROR]→4, [INFEASIBLE]→7, [OVERLOAD]→8, [SHUTDOWN]→9,
-    [INTERNAL_ERROR]→10.  0/3/4/7 coincide with [ucp_solve]. *)
 
 type request = {
   verb : verb;

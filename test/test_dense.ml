@@ -319,21 +319,70 @@ let test_subgradient_identity () =
 
 let test_solve_identity () =
   (* end to end through Scg.solve: the adaptive dispatch (default
-     threshold) vs the forced sparse path *)
+     threshold) vs the forced sparse path.  The challenging suite gets a
+     shortened descent: identity holds for any configuration, and the
+     full default descent on the pdc-class instances would dominate the
+     suite's runtime for no extra signal. *)
+  let quick =
+    {
+      Scg.Config.default with
+      num_iter = 1;
+      subgradient = { Lagrangian.Subgradient.default_config with max_steps = 100 };
+    }
+  in
   List.iter
-    (fun (inst : Benchsuite.Registry.instance) ->
+    (fun (config, (inst : Benchsuite.Registry.instance)) ->
       let m = Benchsuite.Registry.matrix inst in
-      let a = Scg.solve m in
-      let b =
-        Scg.solve ~config:{ Scg.Config.default with dense_threshold = 0 } m
-      in
+      let a = Scg.solve ~config m in
+      let b = Scg.solve ~config:{ config with dense_threshold = 0 } m in
       check (inst.Benchsuite.Registry.name ^ " solution") true
         (a.Scg.solution = b.Scg.solution);
       check (inst.Benchsuite.Registry.name ^ " cost") true
         (a.Scg.cost = b.Scg.cost && a.Scg.lower_bound = b.Scg.lower_bound);
       check (inst.Benchsuite.Registry.name ^ " status") true
         (a.Scg.proven_optimal = b.Scg.proven_optimal))
-    (Benchsuite.Registry.difficult () @ Benchsuite.Registry.dense ())
+    (List.map
+       (fun i -> (Scg.Config.default, i))
+       (Benchsuite.Registry.easy () @ Benchsuite.Registry.difficult ()
+       @ Benchsuite.Registry.dense ())
+    @ List.map (fun i -> (quick, i)) (Benchsuite.Registry.challenging ()))
+
+(* The end-to-end benchmark times the dense kernels through its
+   cyclic-cores workload, so they must actually run there: at the
+   default threshold every component of the cyclic core is eligible, on
+   the dense suite and on one input of each cyclic-cores shape (named as
+   perfbench/tool/pb.ml names its seed-1 inputs, since the name seeds
+   the generator). *)
+let test_cores_eligible () =
+  let open Benchsuite.Randucp in
+  let shapes =
+    [
+      ("cc-cyclic-s1-0-00", cyclic ~name:"cc-cyclic-s1-0-00" ~n_rows:35 ~n_cols:24 ~k:3 ());
+      ("cc-cyclic-s1-0-01", cyclic ~name:"cc-cyclic-s1-0-01" ~n_rows:38 ~n_cols:26 ~k:3 ());
+      ("cc-cyclic-s1-0-02", cyclic ~name:"cc-cyclic-s1-0-02" ~n_rows:35 ~n_cols:21 ~k:4 ());
+      ( "cc-dense-s1-0-00",
+        dense_cyclic ~name:"cc-dense-s1-0-00" ~n_rows:40 ~n_cols:30 ~density:0.25 () );
+      ( "cc-multi-s1-0-00",
+        multi_component ~name:"cc-multi-s1-0-00" ~parts:2 ~rows_per_part:30
+          ~cols_per_part:20 () );
+      ( "cc-multi-s1-0-01",
+        multi_component ~name:"cc-multi-s1-0-01" ~parts:3 ~rows_per_part:25
+          ~cols_per_part:18 () );
+    ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let components = Partition.split (core_of m) in
+      check (name ^ " has a cyclic core") true (components <> []);
+      List.iteri
+        (fun k c ->
+          check (Printf.sprintf "%s component %d eligible" name k) true (Dense.eligible c))
+        components)
+    (List.map
+       (fun (i : Benchsuite.Registry.instance) ->
+         (i.Benchsuite.Registry.name, Benchsuite.Registry.matrix i))
+       (Benchsuite.Registry.dense ())
+    @ shapes)
 
 (* the Weighted_rows weight of the greedy: an order-sensitive float sum
    over the fresh rows must equal the ascending fold over the sparse
@@ -390,5 +439,6 @@ let () =
           Alcotest.test_case "greedy" `Quick test_greedy_identity;
           Alcotest.test_case "subgradient" `Quick test_subgradient_identity;
           Alcotest.test_case "full solve" `Quick test_solve_identity;
+          Alcotest.test_case "cyclic cores eligible" `Quick test_cores_eligible;
         ] );
     ]

@@ -1,13 +1,13 @@
 (* Golden corpus: the full ZDD_SCG answer under the default configuration,
    pinned for the registry's difficult and dense instances, a few seeded
-   generator cores, and the registry's two-level and multi-output
-   instances.  Each answer is one line: cost, lower bound, status,
-   subgradient steps, heuristic and penalty fixes, iterations, best
-   iteration and the cover itself.  Any change to the Lagrangian
-   kernels, the greedy or the descent that moves one float moves one of
-   these numbers.  The two-level matrices come from the
-   [Covering.From_logic] bridge and the cover lists column indices, so
-   these lines also pin the bridge's row and column order.
+   generator cores, the registry's scale tier under a 2,000-step budget,
+   and the registry's two-level and multi-output instances.  Each answer
+   is one line: cost, lower bound, status, subgradient steps, heuristic
+   and penalty fixes, iterations, best iteration and the cover itself.
+   Any change to the Lagrangian kernels, the greedy or the descent that
+   moves one float moves one of these numbers.  The two-level matrices
+   come from the [Covering.From_logic] bridge and the cover lists column
+   indices, so these lines also pin the bridge's row and column order.
 
    A second group pins the exact branch and bound ([Covering.Exact]) under
    a node cap: cost, lower bound, optimality, nodes expanded and the
@@ -34,7 +34,7 @@ let through_bridge inst =
 
 (* (name, matrix, subgradient-step budget) *)
 let corpus () =
-  let registry inst = (inst.Registry.name, (fun () -> Registry.matrix inst), None) in
+  let registry ?steps inst = (inst.Registry.name, (fun () -> Registry.matrix inst), steps) in
   let core ?steps name build = (name, build, steps) in
   List.map registry (Registry.difficult ())
   @ List.map registry (Registry.dense ())
@@ -64,6 +64,10 @@ let corpus () =
       core ~steps:400 "powerlaw-200x800" (fun () ->
           Randucp.powerlaw ~name:"golden-powerlaw" ~n_rows:200 ~n_cols:800 ());
     ]
+  (* a step budget, never a wall-clock one, keeps these answers the same
+     on every machine; the planted two reach their certificates (800 and
+     300, twice the block count) *)
+  @ List.map (registry ~steps:2_000) (Registry.scale ())
   @ List.map registry (List.filter through_bridge (Registry.easy ()))
 
 let status_string = function

@@ -1,7 +1,6 @@
 (* The trace-analysis toolkit (lib/obs): reader round-trips on collector
    output, strictness on truncated/corrupt traces, profile time
-   attribution, convergence LB/UB extraction, the regression differ and
-   the bench baseline gate.
+   attribution, convergence LB/UB extraction and the regression differ.
 
    Synthetic traces are produced by a real Telemetry collector driven by
    a fake clock, so these tests cover the writer and the reader against
@@ -362,168 +361,6 @@ let test_gauge_monotonicity () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Gate                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let dense_json ?(identical = true) ?(tolerances = []) speedups =
-  Json.Obj
-    [
-      ("mode", Json.String "dense");
-      ("identical_results", Json.Bool identical);
-      ( "aggregate_total_speedup",
-        Json.Float
-          (List.fold_left (fun a (_, s) -> a +. s) 0. speedups
-          /. float_of_int (List.length speedups)) );
-      ( "instances",
-        Json.List
-          (List.map
-             (fun (name, s) ->
-               Json.Obj
-                 (("name", Json.String name)
-                 :: ("identical", Json.Bool identical)
-                 :: ("total", Json.Obj [ ("speedup", Json.Float s) ])
-                 ::
-                 (match List.assoc_opt name tolerances with
-                 | Some t -> [ ("tolerance", Json.Float t) ]
-                 | None -> [])))
-             speedups) );
-    ]
-
-let test_gate_dense () =
-  let baseline = dense_json [ ("a", 8.0); ("b", 4.0) ] in
-  (* same speedups: pass *)
-  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 8.0); ("b", 4.0) ]) () in
-  checkb "identical passes" true v.Obs.Gate.pass;
-  (* a mild slowdown within the default tolerance: pass *)
-  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 6.0); ("b", 3.5) ]) () in
-  checkb "mild slowdown passes" true v.Obs.Gate.pass;
-  (* one instance collapses: fail, and the message names it *)
-  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 2.0); ("b", 4.0) ]) () in
-  checkb "collapse fails" false v.Obs.Gate.pass;
-  checkb "failure names the instance" true
-    (List.exists (fun l -> Test_support.contains l "FAIL a") v.Obs.Gate.lines);
-  (* dense and sparse paths disagreeing is an unconditional failure *)
-  let v =
-    Obs.Gate.check ~baseline
-      ~fresh:(dense_json ~identical:false [ ("a", 8.0); ("b", 4.0) ])
-      ()
-  in
-  checkb "mismatch fails" false v.Obs.Gate.pass;
-  (* a missing instance is a failure, not a silent skip *)
-  let v = Obs.Gate.check ~baseline ~fresh:(dense_json [ ("a", 8.0) ]) () in
-  checkb "missing instance fails" false v.Obs.Gate.pass
-
-let test_gate_per_instance_tolerance () =
-  (* the per-instance knob loosens exactly its row (b dominates the
-     aggregate so only the instance check is in play) *)
-  let baseline = dense_json ~tolerances:[ ("a", 0.9) ] [ ("a", 10.0); ("b", 40.0) ] in
-  let fresh = dense_json [ ("a", 1.5); ("b", 40.0) ] in
-  let v = Obs.Gate.check ~tolerance:0.4 ~baseline ~fresh () in
-  checkb "instance tolerance honoured" true v.Obs.Gate.pass;
-  (* the same drop without the override fails *)
-  let strict = dense_json [ ("a", 10.0); ("b", 40.0) ] in
-  let v = Obs.Gate.check ~tolerance:0.4 ~baseline:strict ~fresh () in
-  checkb "without override fails" false v.Obs.Gate.pass
-
-let table_json rows =
-  Json.Obj
-    [
-      ("table", Json.String "table1");
-      ( "instances",
-        Json.List
-          (List.map
-             (fun (name, cost, lb, opt, secs) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("cost", Json.Int cost);
-                   ("lower_bound", Json.Int lb);
-                   ("proven_optimal", Json.Bool opt);
-                   ("seconds", Json.Float secs);
-                 ])
-             rows) );
-    ]
-
-let test_gate_table () =
-  let baseline = table_json [ ("t1", 11, 10, false, 0.10) ] in
-  (* unchanged quality, similar time: pass *)
-  let v =
-    Obs.Gate.check ~baseline ~fresh:(table_json [ ("t1", 11, 10, false, 0.11) ]) ()
-  in
-  checkb "steady run passes" true v.Obs.Gate.pass;
-  (* quality drift is a hard failure even with time to spare *)
-  let v =
-    Obs.Gate.check ~baseline ~fresh:(table_json [ ("t1", 12, 10, false, 0.01) ]) ()
-  in
-  checkb "cost drift fails" false v.Obs.Gate.pass;
-  let v =
-    Obs.Gate.check ~baseline ~fresh:(table_json [ ("t1", 11, 10, true, 0.10) ]) ()
-  in
-  checkb "optimality drift fails" false v.Obs.Gate.pass;
-  (* gross slowdown beyond tolerance + slack fails *)
-  let v =
-    Obs.Gate.check ~min_seconds:0.01 ~baseline
-      ~fresh:(table_json [ ("t1", 11, 10, false, 1.0) ])
-      ()
-  in
-  checkb "slowdown fails" false v.Obs.Gate.pass
-
-let zdd_json ?(identical = true) ?(chain_hits = 10) instances =
-  Json.Obj
-    [
-      ("mode", Json.String "zdd");
-      ("identical_results", Json.Bool identical);
-      ("chain_hits", Json.Int chain_hits);
-      ( "instances",
-        Json.List
-          (List.map
-             (fun (name, peak, under) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("identical", Json.Bool identical);
-                   ("under_ceiling_gc_on", Json.Bool under);
-                   ("gc_on", Json.Obj [ ("peak_nodes", Json.Int peak) ]);
-                 ])
-             instances) );
-    ]
-
-let test_gate_zdd () =
-  let baseline = zdd_json [ ("a", 1000, true); ("b", 50, true) ] in
-  let check fresh = (Obs.Gate.check ~baseline ~fresh ()).Obs.Gate.pass in
-  checkb "same peaks pass" true (check (zdd_json [ ("a", 1000, true); ("b", 50, true) ]));
-  checkb "lower peaks pass" true (check (zdd_json [ ("a", 300, true); ("b", 20, true) ]));
-  checkb "peak within tolerance passes" true
-    (check (zdd_json [ ("a", 1300, true); ("b", 50, true) ]));
-  checkb "peak past tolerance fails" false
-    (check (zdd_json [ ("a", 1500, true); ("b", 50, true) ]));
-  checkb "leaving the ceiling fails" false
-    (check (zdd_json [ ("a", 1000, false); ("b", 50, true) ]));
-  checkb "variant mismatch fails" false
-    (check (zdd_json ~identical:false [ ("a", 1000, true); ("b", 50, true) ]));
-  checkb "no chain hits fails" false
-    (check (zdd_json ~chain_hits:0 [ ("a", 1000, true); ("b", 50, true) ]));
-  checkb "missing instance fails" false (check (zdd_json [ ("a", 1000, true) ]))
-
-let test_gate_unknown_shape () =
-  let v =
-    Obs.Gate.check ~baseline:(Json.Obj [ ("what", Json.Int 1) ])
-      ~fresh:(Json.Obj []) ()
-  in
-  checkb "unknown baseline fails" false v.Obs.Gate.pass
-
-let test_gate_unknown_mode () =
-  (* a stale baseline of a removed mode must fail loudly, naming it *)
-  let v =
-    Obs.Gate.check
-      ~baseline:(Json.Obj [ ("mode", Json.String "reduce") ])
-      ~fresh:(Json.Obj []) ()
-  in
-  checkb "unknown mode fails" false v.Obs.Gate.pass;
-  checkb "failure names the mode" true
-    (List.exists (fun l -> Test_support.contains l "\"reduce\"") v.Obs.Gate.lines)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -555,14 +392,4 @@ let () =
         ] );
       ( "gauges",
         [ Alcotest.test_case "monotonicity" `Quick test_gauge_monotonicity ] );
-      ( "gate",
-        [
-          Alcotest.test_case "dense" `Quick test_gate_dense;
-          Alcotest.test_case "per-instance tolerance" `Quick
-            test_gate_per_instance_tolerance;
-          Alcotest.test_case "table" `Quick test_gate_table;
-          Alcotest.test_case "zdd" `Quick test_gate_zdd;
-          Alcotest.test_case "unknown shape" `Quick test_gate_unknown_shape;
-          Alcotest.test_case "unknown mode" `Quick test_gate_unknown_mode;
-        ] );
     ]

@@ -6,11 +6,18 @@
    doubles as an end-to-end solver correctness test at sizes where the
    exact solver cannot confirm anything.
 
-   Everything here is CI-sized.  Set UCP_SCALE_BIG=1 to add the two
+   The registry's scale tier gets the same pipeline: both text formats
+   round-trip, the counting fold stays flat on every file, and its
+   budgeted answers are golden lines (test_golden.ml).  The routing
+   group drives large inputs through the other two solver fronts, the
+   espresso loop and the KISS/binate minimiser.
+
+   Everything here is CI-sized.  Set UCP_SCALE_BIG=1 to add the three
    expensive checks behind the scale acceptance bar: a >= 100 MB
-   synthetic OR-Library file streamed in bounded memory, and the
+   synthetic OR-Library file streamed in bounded memory, the
    10^5-column planted instance solved to its certificate through the
-   raised MaxR/MaxC guards (the implicit-phase skip). *)
+   raised MaxR/MaxC guards (the implicit-phase skip), and a 512-state
+   KISS machine minimised to its 64 behaviour classes. *)
 
 module Matrix = Covering.Matrix
 module Instance = Covering.Instance
@@ -35,6 +42,20 @@ let with_temp_file suffix f =
   let path = Filename.temp_file "ucp_scale" suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
+
+let write_orlib_matrix path m =
+  Out_channel.with_open_text path (fun oc -> Instance.output_orlib oc m)
+
+(* the registry's scale tier as first generated: rows, columns, nonzeros
+   and the counting fold's heap growth per byte of its OR-Library file *)
+let scale_tier =
+  [
+    ("scale-planted-s", 2400, 1600, 4800, 0.0);
+    ("scale-planted-x", 1200, 780, 2684, 0.0);
+    ("scale-powerlaw", 1500, 6000, 35925, 0.3466);
+    ("scale-beasley-wide", 400, 8000, 48000, 0.2600);
+    ("scale-multi-8", 480, 360, 1440, 0.0);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* planted-optimum certificates                                       *)
@@ -133,7 +154,7 @@ let test_family_roundtrips () =
       (* OR-Library through the channel writer and the streaming parser *)
       let m_orlib =
         with_temp_file ".scp" (fun path ->
-            Out_channel.with_open_text path (fun oc -> Instance.output_orlib oc m);
+            write_orlib_matrix path m;
             Instance.parse_orlib_file path)
       in
       Alcotest.(check bool) (tag ^ ": orlib file round-trip") true
@@ -161,7 +182,8 @@ let test_determinism () =
 (* every registry matrix survives both text formats bit-for-bit, with
    the in-memory string parsers and the streaming file parsers
    agreeing.  This is the "no instance in the suite distinguishes the
-   parsers" property the scale tier relies on. *)
+   parsers" property the scale tier relies on.  The scale tier's
+   dimensions are pinned too. *)
 let test_registry_equivalence () =
   List.iter
     (fun inst ->
@@ -178,8 +200,24 @@ let test_registry_equivalence () =
       Alcotest.(check bool) (name ^ ": ucp stream") true (matrix_equal m via_file);
       let via_orlib = Instance.parse_orlib (Instance.to_orlib m) in
       Alcotest.(check bool) (name ^ ": orlib string") true
-        (matrix_equal m via_orlib))
-    (Registry.all ())
+        (matrix_equal m via_orlib);
+      let via_orlib_file =
+        with_temp_file ".scp" (fun path ->
+            write_orlib_matrix path m;
+            Instance.parse_orlib_file path)
+      in
+      Alcotest.(check bool) (name ^ ": orlib stream") true
+        (matrix_equal m via_orlib_file))
+    (Registry.all ());
+  Alcotest.(check (list string)) "scale tier"
+    (List.map (fun (name, _, _, _, _) -> name) scale_tier)
+    (List.map (fun i -> i.Registry.name) (Registry.scale ()));
+  List.iter
+    (fun (name, rows, cols, nnz, _) ->
+      let m = Registry.matrix (Registry.find name) in
+      Alcotest.(check (list int)) (name ^ ": rows, cols, nnz") [ rows; cols; nnz ]
+        [ Matrix.n_rows m; Matrix.n_cols m; Matrix.nnz m ])
+    scale_tier
 
 (* ------------------------------------------------------------------ *)
 (* O(1)-memory counting fold                                          *)
@@ -204,9 +242,6 @@ let fold_growth_bytes path =
       let peak = max (Logic.Reader.peak_heap_words ()) before in
       ((peak - before) * (Sys.word_size / 8), !rows, !nnz))
 
-let write_orlib_matrix path m =
-  Out_channel.with_open_text path (fun oc -> Instance.output_orlib oc m)
-
 let test_fold_memory () =
   (* a ~1.6 MB planted file: materialising it costs several MB of int
      lists, so a bounded-growth fold is real evidence of streaming *)
@@ -225,7 +260,24 @@ let test_fold_memory () =
          whole-matrix materialisation (the matrix alone is ~5x bigger) *)
       if growth > file_bytes / 2 then
         Alcotest.failf "counting fold grew the heap by %d bytes on a %d-byte file"
-          growth file_bytes)
+          growth file_bytes);
+  (* the scale tier's files are small enough that allocator granularity
+     shows, hence 40 % over the first measurement plus 0.25 *)
+  List.iter
+    (fun (name, _, _, _, ratio) ->
+      let m = Registry.matrix (Registry.find name) in
+      with_temp_file ".scp" (fun path ->
+          write_orlib_matrix path m;
+          let file_bytes = (Unix.stat path).Unix.st_size in
+          let growth, rows, nnz = fold_growth_bytes path in
+          Alcotest.(check int) (name ^ ": fold saw every row") (Matrix.n_rows m) rows;
+          Alcotest.(check int) (name ^ ": fold saw every nonzero") (Matrix.nnz m) nnz;
+          let fresh = float_of_int growth /. float_of_int file_bytes in
+          if fresh > (ratio *. 1.4) +. 0.25 then
+            Alcotest.failf "%s: fold grew the heap by %.4f bytes per file byte (first \
+                            measured %.4f)"
+              name fresh ratio))
+    scale_tier
 
 (* ------------------------------------------------------------------ *)
 (* UCP_SCALE_BIG=1: the acceptance-bar checks                         *)
@@ -295,6 +347,51 @@ let test_big_planted_solve () =
     Alcotest.(check bool) "proven optimal" true res.Scg.proven_optimal
   end
 
+(* ------------------------------------------------------------------ *)
+(* routing: the espresso and KISS/binate fronts                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_espresso_route () =
+  let spec =
+    Benchsuite.Plagen.random_pla ~name:"scale-route-pla" ~ni:10 ~terms:80 ~dc_terms:10
+  in
+  let r =
+    Espresso.minimise ~mode:Espresso.Normal ~on:spec.Benchsuite.Plagen.on
+      ~dc:spec.Benchsuite.Plagen.dc ()
+  in
+  Alcotest.(check int) "products" 45 r.Espresso.cost;
+  Alcotest.(check bool) "no more products than the ON-set" true
+    (r.Espresso.cost <= Logic.Cover.size spec.Benchsuite.Plagen.on)
+
+(* A 512-state machine whose states fall into 64 behaviour classes of 8
+   (index mod 64, encoded in the 6 output bits).  Input 0 steps to s + 1
+   and input 1 to s + 64, both mod 512; only because 64 divides 512 does
+   the wraparound keep the class structure, so the minimiser has real
+   merging to find, while classes that small keep the compatible
+   enumeration polynomially bounded (64 · 2^8 sets). *)
+let test_kiss_route () =
+  if not big_enabled then () else begin
+    let states = 512 and classes = 64 in
+    let out s =
+      String.init 6 (fun b -> if (s mod classes) land (1 lsl b) <> 0 then '1' else '0')
+    in
+    let buf = Buffer.create (1 lsl 16) in
+    Buffer.add_string buf ".i 1\n.o 6\n.r s0\n";
+    for s = 0 to states - 1 do
+      Printf.bprintf buf "0 s%d s%d %s\n" s ((s + 1) mod states) (out s);
+      Printf.bprintf buf "1 s%d s%d %s\n" s ((s + classes) mod states) (out s)
+    done;
+    Buffer.add_string buf ".e\n";
+    let r =
+      Fsm.Minimise.minimise
+        ~budget:(Scg.Budget.create ~steps:2_000 ())
+        ~max_nodes:50_000
+        (Fsm.Kiss.parse (Buffer.contents buf))
+    in
+    Alcotest.(check int) "states before" states r.Fsm.Minimise.original_states;
+    Alcotest.(check int) "states after" classes r.Fsm.Minimise.minimised_states
+  end
+
 let () =
   Alcotest.run "scale"
     [
@@ -322,5 +419,10 @@ let () =
             test_big_fold_memory;
           Alcotest.test_case "10^5-column solve (UCP_SCALE_BIG)" `Slow
             test_big_planted_solve;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "espresso" `Quick test_espresso_route;
+          Alcotest.test_case "512-state KISS (UCP_SCALE_BIG)" `Slow test_kiss_route;
         ] );
     ]

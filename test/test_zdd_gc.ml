@@ -246,6 +246,88 @@ let test_differential_chain () =
   in
   checkb "chain paths exercised" true (hits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* the implicit fixpoint at the collector's working threshold         *)
+(* ------------------------------------------------------------------ *)
+
+(* The row family of each input is built and reduced to the full
+   implicit fixpoint (MaxR = MaxC = 0, no explicit fallback) three ways:
+   collection off, collection on at 16,384 allocations, and the chain
+   fast paths off.  Each run starts from a pristine manager in a fresh
+   domain, so its peak is a deterministic allocation count.  The inputs
+   are the registry's difficult and dense suites plus three seeded
+   instances that reach tens of thousands of nodes; each carries the
+   gc-on peak it reached when first measured. *)
+let fixpoint_gc_threshold = 16_384
+let fixpoint_node_ceiling = 150_000
+
+let fixpoint_cases () =
+  let registry (name, peak) =
+    (name, Benchsuite.Registry.matrix (Benchsuite.Registry.find name), peak)
+  in
+  let open Benchsuite.Randucp in
+  List.map registry
+    [
+      ("bench1", 166); ("ex5", 238); ("exam", 142); ("max1024", 264);
+      ("prom2", 210); ("t1", 72); ("test4", 295); ("dense-a", 1854);
+      ("dense-b", 4089); ("dense-c", 5642); ("dense-d", 4854);
+      ("dense-e", 15012);
+    ]
+  @ [
+      ( "cyc-3000x500",
+        cyclic ~name:"cyc-3000x500" ~n_rows:3000 ~n_cols:500 ~k:12 (),
+        29265 );
+      ( "dense-700x280",
+        dense_cyclic ~name:"dense-700x280" ~n_rows:700 ~n_cols:280 ~density:0.30 (),
+        55164 );
+      ( "beasley-400x4000",
+        beasley ~name:"beasley-400x4000" ~n_rows:400 ~n_cols:4000 ~rows_per_col:8 (),
+        31466 );
+    ]
+
+type fixpoint = { fingerprint : int; fixpoint_peak : int; fixpoint_chain_hits : int }
+
+let fixpoint_fresh ~gc_threshold ~chain m =
+  let r =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Zdd.configure ~gc_threshold ~chain_reduction:chain ();
+           let p =
+             Covering.Implicit.reduce ~max_rows:0 ~max_cols:0
+               (Covering.Implicit.of_matrix m)
+           in
+           {
+             fingerprint =
+               Hashtbl.hash
+                 (Zdd.to_sets p.Covering.Implicit.rows, p.Covering.Implicit.essential);
+             fixpoint_peak = Zdd.peak_node_count ();
+             fixpoint_chain_hits = Zdd.chain_hit_count ();
+           }))
+  in
+  restore_defaults ();
+  r
+
+let test_fixpoint_variants () =
+  let hits =
+    List.fold_left
+      (fun hits (name, m, peak) ->
+        let off = fixpoint_fresh ~gc_threshold:0 ~chain:true m in
+        let on_ = fixpoint_fresh ~gc_threshold:fixpoint_gc_threshold ~chain:true m in
+        let nochain = fixpoint_fresh ~gc_threshold:0 ~chain:false m in
+        checki (name ^ ": gc on reduces to the same family") off.fingerprint
+          on_.fingerprint;
+        checki (name ^ ": chain off reduces to the same family") off.fingerprint
+          nochain.fingerprint;
+        if float_of_int on_.fixpoint_peak > float_of_int peak *. 1.4 then
+          Alcotest.failf "%s: gc-on peak %d nodes, above 1.4 x %d" name
+            on_.fixpoint_peak peak;
+        checkb (name ^ ": gc-on peak under the node ceiling") true
+          (on_.fixpoint_peak <= fixpoint_node_ceiling);
+        hits + off.fixpoint_chain_hits)
+      0 (fixpoint_cases ())
+  in
+  checkb "chain paths exercised" true (hits > 0)
+
 let () =
   Alcotest.run "zdd_gc"
     [
@@ -270,5 +352,6 @@ let () =
         [
           Alcotest.test_case "gc on/off" `Quick test_differential_gc;
           Alcotest.test_case "chain on/off" `Quick test_differential_chain;
+          Alcotest.test_case "implicit fixpoint" `Quick test_fixpoint_variants;
         ] );
     ]
