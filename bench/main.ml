@@ -345,7 +345,15 @@ let ablation_variants =
     ("full (paper)", base);
     ("no penalties", { base with Scg.Config.use_penalties = false; dual_pen_max_cols = 0 });
     ("no dual pen.", { base with Scg.Config.dual_pen_max_cols = 0 });
+    (* without warm starts no run is warm, so every run below a root
+       also runs the full schedule *)
     ("no warm start", { base with Scg.Config.warm_start = false });
+    ( "warm full sched",
+      {
+        base with
+        Scg.Config.subgradient =
+          { Lagrangian.Subgradient.default_config with stall_window = 0 };
+      } );
     ("no multistart", { base with Scg.Config.num_iter = 1 });
     ("alpha = 0", { base with Scg.Config.alpha = 0. });
     ("alpha = 8", { base with Scg.Config.alpha = 8. });

@@ -93,6 +93,18 @@ type root_memo = {
   mutable dual_pen : (int * Penalties.outcome) option;  (* z_best, outcome *)
 }
 
+(* The work a component's descents add up, reported in [Stats]. *)
+type tally = {
+  mutable steps : int;
+  mutable warm_steps : int;
+  mutable warm_stalls : int;
+  mutable fixes : int;
+  mutable penalty_fixes : int;
+}
+
+let new_tally () =
+  { steps = 0; warm_steps = 0; warm_stalls = 0; fixes = 0; penalty_fixes = 0 }
+
 (* One constructive descent from the cyclic core: alternate subgradient,
    penalties, heuristic fixing and explicit reductions until the matrix is
    empty or the path is bound-dominated.  Returns the candidate solutions
@@ -101,7 +113,7 @@ type root_memo = {
    is the component's root memo, read and written on the root only. *)
 let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
     ~component ~rand ~best_cols ~(space : Core_space.t) ~(z_best : int ref)
-    ~(best_ids : int list ref) ~stats_steps ~stats_fixes ~stats_pen =
+    ~(best_ids : int list ref) ~(tally : tally) =
   (* each descent owns a fresh multiplier memory, the paper's §3.2
      semantics: λ and μ pass from one subproblem to the next *)
   let lambda_mem = Warm.create () and mu_mem = Warm.create () in
@@ -185,8 +197,16 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
             end;
             sg
       in
-      stats_steps := !stats_steps + sg.Subgradient.steps;
+      tally.steps <- tally.steps + sg.Subgradient.steps;
       Telemetry.add telemetry "subgradient.steps" sg.Subgradient.steps;
+      if lambda0 <> None then begin
+        tally.warm_steps <- tally.warm_steps + sg.Subgradient.steps;
+        Telemetry.add telemetry "warm_steps" sg.Subgradient.steps;
+        if sg.Subgradient.stalled then begin
+          tally.warm_stalls <- tally.warm_stalls + 1;
+          Telemetry.incr telemetry "warm_stalls"
+        end
+      end;
       Warm.store_rows lambda_mem m sg.Subgradient.lambda;
       Warm.store_cols mu_mem m sg.Subgradient.mu;
       if first then root_lb := sg.Subgradient.lower_bound;
@@ -205,7 +225,10 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
         in
         let pen_dual =
           let z = !z_best - committed_cost in
-          let compute () = Penalties.dual ~max_cols:config.Config.dual_pen_max_cols m ~z_best:z in
+          let compute () =
+            Penalties.dual ~max_cols:config.Config.dual_pen_max_cols
+              ~upper_dual:sg.Subgradient.upper_dual m ~z_best:z
+          in
           if not first then compute ()
           else
             match memo.dual_pen with
@@ -226,7 +249,8 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
             (pen_lag.Penalties.forced_in @ pen_dual.Penalties.forced_in)
           |> List.filter (fun j -> not out_mask.(j))
         in
-        stats_pen := !stats_pen + List.length forced_in + List.length forced_out;
+        tally.penalty_fixes <-
+          tally.penalty_fixes + List.length forced_in + List.length forced_out;
         Telemetry.add telemetry "fix.penalty"
           (List.length forced_in + List.length forced_out);
         (* heuristic fixing (§3.7): promising columns plus one σ-best *)
@@ -250,7 +274,7 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
               [ List.nth cs (if k <= 1 then 0 else rand k) ]
           end
         in
-        stats_fixes := !stats_fixes + List.length fixed;
+        tally.fixes <- tally.fixes + List.length fixed;
         Telemetry.add telemetry "fix.heuristic" (List.length fixed);
         if fixed = [] && forced_out = [] then () (* nothing to do: stop path *)
         else begin
@@ -305,9 +329,6 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
 type comp_result = {
   comp_ids : int list;
   comp_lb : int;
-  comp_steps : int;
-  comp_fixes : int;
-  comp_pen : int;
   comp_iterations : int;
   comp_best_iteration : int;
 }
@@ -356,7 +377,7 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
   in
   let t_core = Budget.Clock.now () -. t_start in
   let core = red.Reduce.core in
-  let finish ~core_ids ~lb_core_int ~steps ~iterations ~best_iteration ~fixes ~pen =
+  let finish ~core_ids ~lb_core_int ~iterations ~best_iteration ~(tally : tally) =
     (* map a core-space solution back to input indices and report *)
     let lifted = Reduce.lift red.Reduce.trace core_ids in
     let full = Matrix.irredundant input (essential0 @ lifted) in
@@ -373,11 +394,13 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
         essential_count = List.length essential0 + List.length (Reduce.lift red.Reduce.trace []);
         cyclic_core_seconds = t_core;
         total_seconds = total;
-        subgradient_steps = steps;
+        subgradient_steps = tally.steps;
+        warm_steps = tally.warm_steps;
+        warm_stalls = tally.warm_stalls;
         iterations;
         best_iteration;
-        fixes;
-        penalty_fixes = pen;
+        fixes = tally.fixes;
+        penalty_fixes = tally.penalty_fixes;
         budget_trip = Option.map Budget.describe (Budget.tripped budget);
       }
     in
@@ -399,8 +422,8 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
     }
   in
   if Matrix.is_empty core then
-    finish ~core_ids:[] ~lb_core_int:0 ~steps:0 ~iterations:0 ~best_iteration:0
-      ~fixes:0 ~pen:0
+    finish ~core_ids:[] ~lb_core_int:0 ~iterations:0 ~best_iteration:0
+      ~tally:(new_tally ())
   else begin
     (* the oldest reduction of all (§2, "partitioning"): disconnected
        blocks of the cyclic core are independent subproblems, solved
@@ -408,10 +431,11 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
        The RNG is seeded per component, so no component's search
        depends on the components solved before it. *)
     let components = Array.of_list (Covering.Partition.split core) in
+    (* the components run one after another and their counts add up *)
+    let tally = new_tally () in
     let solve_component ~component sub =
       let rng = Random.State.make [| config.seed; component |] in
       let rand bound = Random.State.int rng bound in
-      let steps = ref 0 and fixes = ref 0 and pen = ref 0 in
       let iterations = ref 0 in
       (* 0 until the greedy incumbent is actually improved by some run —
          a solve where the seed survives every iteration reports 0 *)
@@ -437,8 +461,7 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
            let lb =
              Telemetry.span telemetry "descent" (fun () ->
                  construct ~config ~budget ~telemetry ~memo ~component ~rand
-                   ~best_cols ~space ~z_best ~best_ids ~stats_steps:steps
-                   ~stats_fixes:fixes ~stats_pen:pen)
+                   ~best_cols ~space ~z_best ~best_ids ~tally)
            in
            if !z_best < before then best_iteration := iter + 1;
            best_lb := max !best_lb (ceil_int lb);
@@ -448,9 +471,6 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
       {
         comp_ids = !best_ids;
         comp_lb = !best_lb;
-        comp_steps = !steps;
-        comp_fixes = !fixes;
-        comp_pen = !pen;
         comp_iterations = !iterations;
         comp_best_iteration = !best_iteration;
       }
@@ -464,14 +484,11 @@ let solve ?(budget = Budget.none) ?(telemetry = Telemetry.null)
     in
     let core_ids = Array.fold_left (fun acc r -> r.comp_ids @ acc) [] results in
     let lb_core_int = Array.fold_left (fun acc r -> acc + r.comp_lb) 0 results in
-    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
     let max_of f = Array.fold_left (fun acc r -> max acc (f r)) 0 results in
     finish ~core_ids ~lb_core_int
-      ~steps:(sum (fun r -> r.comp_steps))
       ~iterations:(max_of (fun r -> r.comp_iterations))
       ~best_iteration:(max_of (fun r -> r.comp_best_iteration))
-      ~fixes:(sum (fun r -> r.comp_fixes))
-      ~pen:(sum (fun r -> r.comp_pen))
+      ~tally
   end
 
 (* The two-level bridge builds the covering matrix before [solve] opens

@@ -8,6 +8,8 @@ type t = {
   cyclic_core_seconds : float;
   total_seconds : float;
   subgradient_steps : int;
+  warm_steps : int;
+  warm_stalls : int;
   iterations : int;
   best_iteration : int;
   fixes : int;
@@ -26,6 +28,8 @@ let zero =
     cyclic_core_seconds = 0.;
     total_seconds = 0.;
     subgradient_steps = 0;
+    warm_steps = 0;
+    warm_stalls = 0;
     iterations = 0;
     best_iteration = 0;
     fixes = 0;
@@ -46,6 +50,8 @@ let to_json s =
       ("cyclic_core_seconds", J.Float s.cyclic_core_seconds);
       ("total_seconds", J.Float s.total_seconds);
       ("subgradient_steps", J.Int s.subgradient_steps);
+      ("warm_steps", J.Int s.warm_steps);
+      ("warm_stalls", J.Int s.warm_stalls);
       ("iterations", J.Int s.iterations);
       ("best_iteration", J.Int s.best_iteration);
       ("fixes", J.Int s.fixes);

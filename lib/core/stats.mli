@@ -11,6 +11,12 @@ type t = {
   cyclic_core_seconds : float;  (** the paper's CC(s) *)
   total_seconds : float;  (** the paper's T(s) *)
   subgradient_steps : int;  (** across all runs and fixing phases *)
+  warm_steps : int;
+      (** the part of [subgradient_steps] taken by warm-started runs:
+          the runs below each descent's root, which start from the
+          previous subproblem's multipliers (0 without
+          [Config.warm_start]) *)
+  warm_stalls : int;  (** warm runs that the stall rule ended *)
   iterations : int;  (** constructive runs actually performed *)
   best_iteration : int;  (** run (1-based) on which the incumbent was last
                              improved — the paper's MaxIter column; 0 when

@@ -29,10 +29,17 @@ val lagrangian :
   outcome
 (** Conditions (3) and (4) at a given Lagrangian point. *)
 
-val dual : ?max_cols:int -> Covering.Matrix.t -> z_best:int -> outcome
+val dual :
+  ?max_cols:int -> ?upper_dual:float -> Covering.Matrix.t -> z_best:int -> outcome
 (** Conditions (5) and (6) via {!Dual_ascent.run_with_costs}; skipped
     entirely (returns {!nothing}) when the matrix has more than [max_cols]
-    columns (default 100, the paper's [DualPen]). *)
+    columns (default 100, the paper's [DualPen]).  [upper_dual], an upper
+    bound on the LP optimum of this very matrix (a
+    {!Subgradient.outcome}'s [upper_dual]), skips column j's (6) pass
+    when [upper_dual + c_j] falls short of [z_best] by more than a small
+    float margin: by weak duality that pass's value is at most the LP
+    with [c_j = 0], which is at most the LP, so it cannot fire.  The
+    outcome is the same with and without it. *)
 
 val apply : Covering.Matrix.t -> outcome -> (Covering.Matrix.t * int list) option
 (** Remove forced-out columns and discharge forced-in ones: returns the

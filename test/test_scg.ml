@@ -178,6 +178,42 @@ let test_root_memo () =
       check (ctx "steps within it") true (r.Scg.stats.Scg.Stats.subgradient_steps <= cap))
     [ 2000; 2500 ]
 
+(* The stall rule shortens warm runs only, and only cold roots certify
+   a bound: on every generator core of the golden corpus, under its
+   budget, the lower bound is the same with the rule on and off.  The
+   stats say where the steps went: warm runs are part of all runs, the
+   rule ended some of them, and with it off it ends none. *)
+let test_stall_rule_keeps_bounds () =
+  let off =
+    {
+      Scg.Config.default with
+      Scg.Config.subgradient =
+        { Lagrangian.Subgradient.default_config with stall_window = 0 };
+    }
+  in
+  let stalls = ref 0 in
+  List.iter
+    (fun (name, steps, build) ->
+      let m = build () in
+      let solve config =
+        let budget =
+          match steps with Some steps -> Scg.Budget.create ~steps () | None -> Scg.Budget.none
+        in
+        Scg.solve ~budget ~config m
+      in
+      let r_on = solve Scg.Config.default and r_off = solve off in
+      let s_on = r_on.Scg.stats and s_off = r_off.Scg.stats in
+      Alcotest.(check int) (name ^ " lower bound") r_off.Scg.lower_bound r_on.Scg.lower_bound;
+      check (name ^ " warm steps within all") true
+        (s_on.Scg.Stats.warm_steps <= s_on.Scg.Stats.subgradient_steps);
+      Alcotest.(check int) (name ^ " no stall when off") 0 s_off.Scg.Stats.warm_stalls;
+      stalls := !stalls + s_on.Scg.Stats.warm_stalls)
+    TS.golden_cores;
+  check "the rule ended some warm runs" true (!stalls > 0);
+  let cold = { Scg.Config.default with Scg.Config.warm_start = false } in
+  let r = Scg.solve ~config:cold (cyclic_of_seed 3) in
+  Alcotest.(check int) "no warm steps without warm starts" 0 r.Scg.stats.Scg.Stats.warm_steps
+
 (* Within the MaxR/MaxC guards the solve skips the implicit phase and
    builds no ZDD at all: a pristine domain's manager never holds a node.
    MaxR = 0 puts the same input above the guard, where it does. *)
@@ -331,6 +367,7 @@ let () =
           Alcotest.test_case "warm lambda0" `Quick test_warm_lambda0;
           Alcotest.test_case "warm mu0" `Quick test_warm_mu0;
           Alcotest.test_case "root memo" `Quick test_root_memo;
+          Alcotest.test_case "stall rule keeps bounds" `Quick test_stall_rule_keeps_bounds;
           Alcotest.test_case "no ZDD within the guards" `Quick
             test_no_zdd_within_guards;
           Alcotest.test_case "partitioned core" `Quick test_scg_partitioned_core;

@@ -295,6 +295,10 @@ let run_suite () =
       let steps = Telemetry.counter t "subgradient.steps" in
       if steps <> r.Scg.stats.Scg.Stats.subgradient_steps then
         fail "%s: telemetry step count disagrees with Stats" name;
+      if
+        Telemetry.counter t "warm_steps" <> r.Scg.stats.Scg.Stats.warm_steps
+        || Telemetry.counter t "warm_stalls" <> r.Scg.stats.Scg.Stats.warm_stalls
+      then fail "%s: telemetry warm-run counts disagree with Stats" name;
       let step_records =
         List.length
           (List.filter
