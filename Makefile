@@ -1,6 +1,6 @@
 # Convenience wrappers; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke doc examples clean
+.PHONY: all build test bench bench-quick bench-smoke fault-smoke trace-smoke serve-smoke metrics-smoke scale-smoke perfbench-smoke perfbench-ab doc examples clean
 
 all: build
 
@@ -64,6 +64,15 @@ scale-smoke:
 # answer checks
 perfbench-smoke:
 	python3 perfbench/test_perfbench.py
+
+# alternating perfbench runs of a base revision (a detached worktree under
+# _ab/) against the working tree, with each side's quartiles and the
+# change's wins per end-to-end metric:
+#   make perfbench-ab BASE=HEAD~1 WORKLOAD=two-level SEED=1 PAIRS=10
+PAIRS ?= 10
+perfbench-ab:
+	python3 tools/perfbench_ab.py --base $(BASE) --workload $(WORKLOAD) \
+	  --seed $(SEED) --pairs $(PAIRS)
 
 doc:
 	dune build @doc

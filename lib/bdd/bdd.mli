@@ -3,8 +3,11 @@
     A from-scratch, hash-consed ROBDD engine in the style of Bryant (1986).
     Variables are non-negative integers ordered by their index: the variable
     with the smallest index sits at the top of the diagram.  Nodes are
-    maximally shared through a global unique table, so structural equality is
-    physical equality and all binary operations are memoised.
+    maximally shared through a per-domain unique table, so two BDDs of the
+    same function are the same node and all operations are memoised.  The
+    nodes, the unique table and the caches are flat int arrays (one store
+    per domain), so no node is a heap block for the OCaml GC to promote or
+    mark.
 
     The engine is the substrate for prime-implicant generation
     ({!Logic.Primes}) and for tautology / containment checks in the
@@ -14,8 +17,10 @@
     to the extra invariants those features impose. *)
 
 type t
-(** A BDD rooted at a shared node.  Values are canonical: two BDDs represent
-    the same Boolean function iff they are physically equal. *)
+(** A BDD: the number of its root node in this domain's store ([zero] and
+    [one] are shared by every domain).  A value means something only on
+    the domain that built it.  Values are canonical: two BDDs represent
+    the same Boolean function iff their numbers are equal. *)
 
 (** {1 Constants and variables} *)
 
@@ -38,14 +43,16 @@ val is_zero : t -> bool
 val is_one : t -> bool
 
 val equal : t -> t -> bool
-(** Constant-time (physical) equality — sound and complete by canonicity. *)
+(** Int equality of node numbers — sound and complete by canonicity. *)
 
 val hash : t -> int
+(** The node number. *)
 
 val cofactors : t -> int * t * t
 (** [cofactors f] = [(v, f₁, f₀)]: the top variable and the two Shannon
     cofactors with respect to it, in O(1).
-    @raise Invalid_argument on constants. *)
+    @raise Invalid_argument on constants, or on a number outside this
+    domain's store. *)
 
 val size : t -> int
 (** Number of distinct internal nodes reachable from the root. *)
@@ -104,10 +111,14 @@ val disj : t list -> t
 (** {1 Engine management} *)
 
 val configure : ?initial_size:int -> unit -> unit
-(** [initial_size] seeds the unique table of managers created after the
-    call (per-domain; default 4_096, clamped to ≥ 16).  Kept as a
-    shared atomic so worker domains inherit it, mirroring
-    [Zdd.configure]. *)
+(** [initial_size] sizes the stores of managers created after the call
+    (per-domain; default 4_096, clamped to ≥ 16): room for that many
+    nodes, and a unique table of at least twice as many slots.  The node
+    arrays double when full and the unique table when more than half
+    full; the operation caches start at 64 slots whatever the size and
+    double when more than half full.  Kept as a shared atomic so worker
+    domains inherit it, mirroring [Zdd.configure].  A domain's manager
+    is created by its first BDD operation. *)
 
 val node_count : unit -> int
 (** Number of nodes in this domain's unique table.  Nothing is ever

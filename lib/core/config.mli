@@ -46,7 +46,8 @@ type t = {
           bit-identical for every value — the knob trades memory for
           speed only. *)
   zdd_initial_size : int;
-      (** initial unique-table size for per-domain ZDD/BDD managers
+      (** initial node capacity of the per-domain ZDD/BDD stores, whose
+          unique tables start with at least twice as many slots
           (default {!Zdd.default_initial_size} = 4_096).  Applied via
           [Zdd.configure]/[Bdd.configure] at the top of every solve,
           so every domain's manager sees it. *)

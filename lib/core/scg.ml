@@ -226,8 +226,9 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
         let pen_dual =
           let z = !z_best - committed_cost in
           let compute () =
-            Penalties.dual ~max_cols:config.Config.dual_pen_max_cols
-              ~upper_dual:sg.Subgradient.upper_dual m ~z_best:z
+            Telemetry.span telemetry "dual-penalties" (fun () ->
+                Penalties.dual ~max_cols:config.Config.dual_pen_max_cols
+                  ~upper_dual:sg.Subgradient.upper_dual m ~z_best:z)
           in
           if not first then compute ()
           else
@@ -307,8 +308,9 @@ let construct ~(config : Config.t) ~budget ~telemetry ~(memo : root_memo)
               (* explicit reductions to the next stable point; Gimpel is
                  disabled mid-descent so committed identifiers stay real *)
               let red =
-                Reduce2.cyclic_core ~budget ~telemetry ~gimpel:false
-                  ~dense_threshold:config.Config.dense_threshold m
+                Telemetry.span telemetry "re-reduce" (fun () ->
+                    Reduce2.cyclic_core ~budget ~telemetry ~gimpel:false
+                      ~dense_threshold:config.Config.dense_threshold m)
               in
               let ess_ids = Reduce.lift red.Reduce.trace [] in
               let committed_ids = committed_ids @ ess_ids in

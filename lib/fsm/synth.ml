@@ -75,6 +75,13 @@ let simulate_pla pla ~n_inputs ~state_bits ~state ~input =
 
 let implement ?config m =
   let pla = to_pla m in
-  let r, bridge = Scg.solve_pla_multi ?config pla in
-  let out = Covering.From_logic.pla_of_multi_solution pla bridge r.Scg.solution in
-  (out, r)
+  if Logic.Multi.rows pla = [] then
+    (* no output bit is ever 1 (every next state is code 0 and every
+       output 0): the PLA with no rows implements the machine, and its
+       covering problem is the empty one, solved at cost 0 *)
+    let r = Scg.solve ?config (Covering.Matrix.create ~n_cols:0 []) in
+    ({ pla with Logic.Pla.rows = [] }, r)
+  else
+    let r, bridge = Scg.solve_pla_multi ?config pla in
+    let out = Covering.From_logic.pla_of_multi_solution pla bridge r.Scg.solution in
+    (out, r)

@@ -27,4 +27,6 @@ val implement :
   ?config:Scg.Config.t -> Machine.t -> Logic.Pla.t * Scg.result
 (** State-encode, emit the PLA, minimise it with the shared-product
     covering pipeline, and return the minimised PLA plus the solver
-    result. *)
+    result.  A machine whose outputs and next-state bits are never 1 has
+    no ON-minterm to cover: it gets the PLA with no rows and the solve
+    of the empty matrix (cost 0, optimal). *)

@@ -1,6 +1,6 @@
 (* Hash-consed ZDD engine (Minato's zero-suppressed DDs).
 
-   Canonical form: no node has [hi == empty] (zero-suppression) and every
+   Canonical form: no node has [hi = empty] (zero-suppression) and every
    (var, hi, lo) triple is unique.  [empty] is the family {}, [base] is {∅}.
 
    [minimal] implements implicit row dominance through [no_sup_set] (the
@@ -8,47 +8,30 @@
    follow the standard cube-set algebra (see e.g. Coudert, "Two-level
    logic minimization: an overview", INTEGRATION 1994).
 
-   The unique table, tag counter and operation caches live in
-   domain-local storage: each OCaml 5 domain owns a private manager, so
-   parallel workers never contend on (or corrupt) a shared table.  The
-   two constants [empty]/[base] are immutable and shared.  The flip side
-   is an ownership rule: a ZDD value is only meaningful on the domain
-   that built it — nodes from one domain's table must not be mixed into
-   another's operations (see DESIGN.md §10). *)
+   Nodes are ints in the domain's flat store (Ddstore): 0 is [empty], 1
+   is [base], internal nodes are numbered from 2.  The store, the
+   operation caches and the collector's books live in domain-local
+   storage: each OCaml 5 domain owns a private manager, so parallel
+   workers never contend on (or corrupt) a shared table.  The two
+   constants are shared.  The flip side is an ownership rule: a ZDD
+   value is a node number that means something only on the domain that
+   built it, and must not be mixed into another domain's operations
+   (see DESIGN.md §10).  Each recursion keeps the expression shape
+   [mk v (op f1 g1) (op f0 g0)], whose arguments OCaml evaluates right
+   to left, so the nodes of a computation are created in a fixed
+   order. *)
+
+module Cache = Ddstore.Cache
 
 type elt = int
-type t = { tag : int; node : node }
+type t = int
 
-and node =
-  | Empty
-  | Base
-  | Node of { var : elt; hi : t; lo : t }
+let empty = 0
+let base = 1
 
-let empty = { tag = 0; node = Empty }
-let base = { tag = 1; node = Base }
-
-let is_empty f = f.tag = 0
-let is_base f = f.tag = 1
-let equal f g = f == g
-
-module Triple = struct
-  type t = int * int * int
-
-  let equal (a, b, c) (a', b', c') = a = a' && b = b' && c = c'
-  let hash (a, b, c) = (a * 0x9e3779b1) lxor (b * 0x85ebca77) lxor (c * 0xc2b2ae3d)
-end
-
-module Unique = Hashtbl.Make (Triple)
-
-module Pair = struct
-  type t = int * int
-
-  let equal (a, b) (a', b') = a = a' && b = b'
-  let hash (a, b) = (a * 0x9e3779b1) lxor b
-end
-
-module Cache2 = Hashtbl.Make (Pair)
-module Cache1 = Hashtbl.Make (Int)
+let is_empty f = f = 0
+let is_base f = f = 1
+let equal = Int.equal
 
 (* Engine-wide tunables, shared by every domain's manager.  They are
    plain atomics so a solver can set them once (Scg.solve does, from
@@ -66,26 +49,27 @@ let configure ?initial_size ?gc_threshold ?chain_reduction () =
   Option.iter (fun n -> Atomic.set cfg_gc_threshold (max 0 n)) gc_threshold;
   Option.iter (fun b -> Atomic.set cfg_chain b) chain_reduction
 
-(* One manager per domain: unique table, tag allocator, peak meter, the
-   operation caches and the collector's books.  Tags are domain-private
-   (they only key this domain's tables), so independent domains reusing
-   the same tag values is harmless. *)
+(* One manager per domain, created by the first operation on it: node
+   store, peak meter, the operation caches and the collector's books.
+   Node numbers are domain-private (they only index this domain's
+   store), so independent domains reusing the same numbers is
+   harmless. *)
 type state = {
-  unique : t Unique.t;
-  mutable next_tag : int;
+  dd : Ddstore.t;
   mutable peak : int;
-  union_cache : t Cache2.t;
-  diff_cache : t Cache2.t;
-  nosup_cache : t Cache2.t;
-  minimal_cache : t Cache1.t;
-  count_cache : float Cache1.t;
+  union_cache : Cache.t;
+  diff_cache : Cache.t;
+  nosup_cache : Cache.t;
+  minimal_cache : Cache.t;
+  mutable counts : Float.Array.t;
+      (* [count]'s memo, indexed by node number; nan when unknown *)
   (* lifecycle *)
-  mutable young : (int * int * int) list;
-      (* unique-table keys inserted since the last collection: the
-         nursery a minor sweep scans.  Children are always built before
-         parents, so an old node can never point at a young one and
-         sweeping only the nursery is sound. *)
-  mutable allocs_since_gc : int;
+  mutable young : int array;
+  mutable n_young : int;
+      (* [young.(0 .. n_young-1)]: the nodes created since the last
+         collection, the nursery a minor sweep scans.  Children are
+         always built before parents, so an old node can never point at
+         a young one and sweeping only the nursery is sound. *)
   mutable gc_threshold : int;
   mutable threshold_seen : int;
       (* the base value [gc_threshold] was derived from; re-synced when
@@ -101,16 +85,15 @@ let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let base = Atomic.get cfg_gc_threshold in
       {
-        unique = Unique.create (Atomic.get cfg_initial_size);
-        next_tag = 2;
+        dd = Ddstore.create ~initial_size:(Atomic.get cfg_initial_size);
         peak = 0;
-        union_cache = Cache2.create 4_096;
-        diff_cache = Cache2.create 4_096;
-        nosup_cache = Cache2.create 4_096;
-        minimal_cache = Cache1.create 4_096;
-        count_cache = Cache1.create 4_096;
-        young = [];
-        allocs_since_gc = 0;
+        union_cache = Cache.create ();
+        diff_cache = Cache.create ();
+        nosup_cache = Cache.create ();
+        minimal_cache = Cache.create ();
+        counts = Float.Array.create 0;
+        young = Array.make 256 0;
+        n_young = 0;
         gc_threshold = base;
         threshold_seen = base;
         collections = 0;
@@ -122,27 +105,33 @@ let state_key : state Domain.DLS.key =
 
 let state () = Domain.DLS.get state_key
 
-let mk st var hi lo =
-  if is_empty hi then lo
-  else
-    let key = (var, hi.tag, lo.tag) in
-    match Unique.find_opt st.unique key with
-    | Some n -> n
-    | None ->
-      let n = { tag = st.next_tag; node = Node { var; hi; lo } } in
-      st.next_tag <- st.next_tag + 1;
-      Unique.add st.unique key n;
-      st.young <- key :: st.young;
-      st.allocs_since_gc <- st.allocs_since_gc + 1;
-      let occ = Unique.length st.unique in
-      if occ > st.peak then st.peak <- occ;
-      n
+let var_of st f = st.dd.var.(f)
+let hi_of st f = st.dd.hi.(f)
+let lo_of st f = st.dd.lo.(f)
 
-let node_count () = Unique.length (state ()).unique
+let mk st var hi lo =
+  if hi = empty then lo
+  else
+    let dd = st.dd in
+    let live = dd.live in
+    let n = Ddstore.find_or_add dd var hi lo in
+    if dd.live > live then begin
+      if st.n_young = Array.length st.young then begin
+        let young = Array.make (2 * st.n_young) 0 in
+        Array.blit st.young 0 young 0 st.n_young;
+        st.young <- young
+      end;
+      st.young.(st.n_young) <- n;
+      st.n_young <- st.n_young + 1;
+      if dd.live > st.peak then st.peak <- dd.live
+    end;
+    n
+
+let node_count () = (state ()).dd.live
 
 let peak_node_count () =
   let st = state () in
-  max st.peak (Unique.length st.unique)
+  max st.peak st.dd.live
 
 let chain_hit_count () = (state ()).chain_hits
 
@@ -153,80 +142,74 @@ let of_set elems =
   List.fold_left (fun acc v -> mk st v acc empty) base (List.rev sorted)
 
 let clear_caches_st st =
-  Cache2.reset st.union_cache;
-  Cache2.reset st.diff_cache;
-  Cache2.reset st.nosup_cache;
-  Cache1.reset st.minimal_cache;
-  Cache1.reset st.count_cache
+  Cache.clear st.union_cache;
+  Cache.clear st.diff_cache;
+  Cache.clear st.nosup_cache;
+  Cache.clear st.minimal_cache;
+  st.counts <- Float.Array.create 0
 
 (* ------------------------------------------------------------------ *)
 (* Unique-table lifecycle: mark-and-sweep collection                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Mark everything reachable from the caller's roots. *)
-let mark_live roots =
-  let marked : unit Cache1.t = Cache1.create 4_096 in
-  let rec mark f =
-    match f.node with
-    | Empty | Base -> ()
-    | Node { hi; lo; _ } ->
-      if not (Cache1.mem marked f.tag) then begin
-        Cache1.add marked f.tag ();
-        mark hi;
-        mark lo
-      end
-  in
-  List.iter mark roots;
-  marked
+(* Mark everything reachable from the caller's roots: the marked nodes
+   are those [Ddstore.visit] has seen in the current epoch. *)
+let rec mark st f =
+  if f >= 2 && Ddstore.visit st.dd f then begin
+    mark st (hi_of st f);
+    mark st (lo_of st f)
+  end
+
+let marked st n = st.dd.stamp.(n) = st.dd.epoch
 
 (* Sweep after a full mark.  A minor sweep scans only the nursery
    (sound because parents are always younger than their children, so a
    surviving old node can never point at a swept young one); survivors
-   are promoted by clearing [young].  A sweep that reclaims anything
-   resets every operation cache: a stale cache hit could hand out a node
-   that was just removed from the unique table, and a later [mk] of the
-   same triple would then build a physically distinct duplicate,
-   breaking canonicity.  A sweep that reclaims nothing keeps them: every
-   cached result is still in the table, and tags are never reused, so no
-   entry can be stale — and the reduction fixpoint, which collects
-   between steps, keeps its memo across a working set that is all live.
-   Returns [(scope, reclaimed)] where [scope] is how many table entries
-   the sweep examined. *)
+   are promoted by emptying the nursery.  A sweep that reclaims
+   anything resets every operation cache: a stale cache hit could hand
+   out a node whose number was freed, and that number is handed to the
+   next node created.  A sweep that reclaims nothing keeps them: every
+   cached result is still live and no number was freed, so no entry can
+   be stale — and the reduction fixpoint, which collects between steps,
+   keeps its memo across a working set that is all live.  Returns
+   [(scope, reclaimed)] where [scope] is how many nodes the sweep
+   examined. *)
 let sweep_st st ~roots ~major =
-  let marked = mark_live roots in
+  let dd = st.dd in
+  Ddstore.new_epoch dd;
+  List.iter (mark st) roots;
+  let free n =
+    if dd.var.(n) >= 0 && not (marked st n) then begin
+      Ddstore.release dd n;
+      true
+    end
+    else false
+  in
   let scope, reclaimed =
     if major then begin
-      let before = Unique.length st.unique in
-      let dead = ref [] in
-      Unique.iter
-        (fun key n -> if not (Cache1.mem marked n.tag) then dead := key :: !dead)
-        st.unique;
-      List.iter (Unique.remove st.unique) !dead;
-      (before, List.length !dead)
+      let before = dd.live and dead = ref 0 in
+      for n = 2 to dd.next - 1 do
+        if free n then incr dead
+      done;
+      (before, !dead)
     end
     else begin
-      let scope = ref 0 and dead = ref 0 in
-      List.iter
-        (fun key ->
-          incr scope;
-          match Unique.find_opt st.unique key with
-          | None -> ()
-          | Some n ->
-            if not (Cache1.mem marked n.tag) then begin
-              Unique.remove st.unique key;
-              incr dead
-            end)
-        st.young;
-      (!scope, !dead)
+      let dead = ref 0 in
+      for i = 0 to st.n_young - 1 do
+        if free st.young.(i) then incr dead
+      done;
+      (st.n_young, !dead)
     end
   in
-  st.young <- [];
-  st.allocs_since_gc <- 0;
+  st.n_young <- 0;
   st.collections <- st.collections + 1;
   if major then st.major_collections <- st.major_collections + 1;
   st.reclaimed_total <- st.reclaimed_total + reclaimed;
-  st.live_after_last <- Unique.length st.unique;
-  if reclaimed > 0 then clear_caches_st st;
+  st.live_after_last <- dd.live;
+  if reclaimed > 0 then begin
+    Ddstore.rehash dd;
+    clear_caches_st st
+  end;
   (scope, reclaimed)
 
 module Gc = struct
@@ -275,7 +258,7 @@ module Gc = struct
   let maybe_collect ?(roots = []) () =
     let st = state () in
     sync_threshold st;
-    if st.gc_threshold <= 0 || st.allocs_since_gc < st.gc_threshold then false
+    if st.gc_threshold <= 0 || st.n_young < st.gc_threshold then false
     else begin
       let scope, reclaimed = sweep_st st ~roots ~major:false in
       let scope, reclaimed =
@@ -293,68 +276,63 @@ module Gc = struct
 end
 
 (* Cofactors of [f] with respect to [v], assuming [v <= top_var f]:
-   [hi] = sets containing v (with v removed), [lo] = sets without v. *)
-let cof f v =
-  match f.node with
-  | Node { var; hi; lo } when var = v -> (hi, lo)
-  | Empty | Base | Node _ -> (empty, f)
+   [cof1] = sets containing v (with v removed), [cof0] = sets without v.
+   A constant's variable reads [max_int]. *)
+let cof1 st f v = if var_of st f = v then hi_of st f else empty
+let cof0 st f v = if var_of st f = v then lo_of st f else f
 
-let top2 f g =
-  match (f.node, g.node) with
-  | Node { var = a; _ }, Node { var = b; _ } -> if a < b then a else b
-  | Node { var = a; _ }, (Empty | Base) -> a
-  | (Empty | Base), Node { var = b; _ } -> b
-  | (Empty | Base), (Empty | Base) -> assert false
+let top2 st f g =
+  let a = var_of st f and b = var_of st g in
+  if a < b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Boolean family algebra                                              *)
 (* ------------------------------------------------------------------ *)
 
 let rec union_st st f g =
-  if f == g then f
-  else if is_empty f then g
-  else if is_empty g then f
+  if f = g then f
+  else if f = empty then g
+  else if g = empty then f
   else begin
-    let key = if f.tag <= g.tag then (f.tag, g.tag) else (g.tag, f.tag) in
-    match Cache2.find_opt st.union_cache key with
-    | Some r -> r
-    | None ->
-      let v = top2 f g in
-      let f1, f0 = cof f v and g1, g0 = cof g v in
+    let a = if f <= g then f else g and b = if f <= g then g else f in
+    let r = Cache.find st.union_cache a b in
+    if r >= 0 then r
+    else begin
+      let v = top2 st f g in
+      let f1 = cof1 st f v and f0 = cof0 st f v in
+      let g1 = cof1 st g v and g0 = cof0 st g v in
       let r = mk st v (union_st st f1 g1) (union_st st f0 g0) in
-      Cache2.add st.union_cache key r;
+      Cache.add st.union_cache a b r;
       r
+    end
   end
 
-let rec contains_empty_set f =
-  match f.node with
-  | Empty -> false
-  | Base -> true
-  | Node { lo; _ } -> contains_empty_set lo
+let rec contains_empty_set st f =
+  if f < 2 then f = base else contains_empty_set st (lo_of st f)
 
 let rec diff_st st f g =
-  if f == g || is_empty f then empty
-  else if is_empty g then f
+  if f = g || f = empty then empty
+  else if g = empty then f
   else begin
-    let key = (f.tag, g.tag) in
-    match Cache2.find_opt st.diff_cache key with
-    | Some r -> r
-    | None ->
+    let r = Cache.find st.diff_cache f g in
+    if r >= 0 then r
+    else begin
       let r =
-        match (f.node, g.node) with
-        | Empty, _ -> empty
-        | Base, _ -> if contains_empty_set g then empty else base
-        | Node { var; hi; lo }, Base ->
+        if f = base then if contains_empty_set st g then empty else base
+        else if g = base then
           (* g = {∅}: remove the empty set, which lives down the lo spine *)
-          mk st var hi (diff_st st lo g)
-        | Node _, (Empty | Node _) ->
+          mk st (var_of st f) (hi_of st f) (diff_st st (lo_of st f) g)
+        else begin
           (* split on the smaller top variable of the two operands *)
-          let v = top2 f g in
-          let f1, f0 = cof f v and g1, g0 = cof g v in
+          let v = top2 st f g in
+          let f1 = cof1 st f v and f0 = cof0 st f v in
+          let g1 = cof1 st g v and g0 = cof0 st g v in
           mk st v (diff_st st f1 g1) (diff_st st f0 g0)
+        end
       in
-      Cache2.add st.diff_cache key r;
+      Cache.add st.diff_cache f g r;
       r
+    end
   end
 
 let union f g = union_st (state ()) f g
@@ -364,28 +342,26 @@ let diff f g = diff_st (state ()) f g
 (* Element-wise operations                                             *)
 (* ------------------------------------------------------------------ *)
 
-let subset0 f v =
-  let st = state () in
-  let rec go f =
-    match f.node with
-    | Empty | Base -> f
-    | Node { var; hi; lo } ->
-      if var = v then lo else if var > v then f else mk st var (go hi) (go lo)
-  in
-  go f
+let rec subset0_st st v f =
+  if f < 2 then f
+  else
+    let var = var_of st f in
+    if var = v then lo_of st f
+    else if var > v then f
+    else mk st var (subset0_st st v (hi_of st f)) (subset0_st st v (lo_of st f))
 
-let change f v =
-  let st = state () in
-  let rec go f =
-    match f.node with
-    | Empty -> empty
-    | Base -> mk st v base empty
-    | Node { var; hi; lo } ->
-      if var = v then mk st var lo hi
-      else if var > v then mk st v f empty
-      else mk st var (go hi) (go lo)
-  in
-  go f
+let subset0 f v = subset0_st (state ()) v f
+
+let rec change_st st v f =
+  if f = empty then empty
+  else if f = base then mk st v base empty
+  else
+    let var = var_of st f in
+    if var = v then mk st var (lo_of st f) (hi_of st f)
+    else if var > v then mk st v f empty
+    else mk st var (change_st st v (hi_of st f)) (change_st st v (lo_of st f))
+
+let change f v = change_st (state ()) v f
 
 (* ------------------------------------------------------------------ *)
 (* Chain fast path                                                    *)
@@ -395,31 +371,25 @@ let change f v =
    set, stored as a hi-spine with every lo pointing at empty (Bryant's
    chain-reduction paper motivates exactly this shape).  The generic
    [no_sup_set] recursion handles them correctly but churns its cache;
-   when the second operand is a chain we instead descend it as a sorted
-   element list, allocating only the result spine.  Detection walks the
-   spine once and fails fast on the first branching node. *)
+   when the second operand is a chain we instead descend its spine,
+   allocating only the result spine.  Detection walks the spine once
+   and fails fast on the first branching node. *)
 
-let single_set f =
-  let rec go acc f =
-    match f.node with
-    | Base -> Some (List.rev acc)
-    | Empty -> None
-    | Node { var; hi; lo } -> if is_empty lo then go (var :: acc) hi else None
-  in
-  go [] f
+let rec is_chain st f =
+  if f < 2 then f = base else lo_of st f = empty && is_chain st (hi_of st f)
 
-(* [remove_sup_chain st a t] = no_sup_set a {t}: drop from [a] every set
-   that contains all of [t] (sorted ascending). *)
+(* [remove_sup_chain st a t] = no_sup_set a t for a chain [t]: drop from
+   [a] every set that contains all of t's set. *)
 let rec remove_sup_chain st a t =
-  match t with
-  | [] -> empty (* ∅ ⊆ every set *)
-  | v :: rest -> (
-    match a.node with
-    | Empty | Base -> a
-    | Node { var; hi; lo } ->
-      if var > v then a (* no set in a contains v *)
-      else if var = v then mk st var (remove_sup_chain st hi rest) lo
-      else mk st var (remove_sup_chain st hi t) (remove_sup_chain st lo t))
+  if t = base then empty (* ∅ ⊆ every set *)
+  else if a < 2 then a
+  else
+    let v = var_of st t and var = var_of st a in
+    if var > v then a (* no set in a contains v *)
+    else if var = v then
+      mk st var (remove_sup_chain st (hi_of st a) (hi_of st t)) (lo_of st a)
+    else
+      mk st var (remove_sup_chain st (hi_of st a) t) (remove_sup_chain st (lo_of st a) t)
 
 (* ------------------------------------------------------------------ *)
 (* Dominance                                                          *)
@@ -427,111 +397,114 @@ let rec remove_sup_chain st a t =
 
 let rec no_sup_set_st st a b =
   (* { s ∈ a : no t ∈ b with t ⊆ s } *)
-  if is_empty a || is_empty b then a
-  else if contains_empty_set b then empty
-  else if is_base a then a (* b has no ∅, and only ∅ ⊆ ∅ *)
-  else if a == b then empty
+  if a = empty || b = empty then a
+  else if contains_empty_set st b then empty
+  else if a = base then a (* b has no ∅, and only ∅ ⊆ ∅ *)
+  else if a = b then empty
   else begin
-    let key = (a.tag, b.tag) in
-    match Cache2.find_opt st.nosup_cache key with
-    | Some r -> r
-    | None ->
-      let chain =
-        if Atomic.get cfg_chain then single_set b else None
-      in
+    let r = Cache.find st.nosup_cache a b in
+    if r >= 0 then r
+    else begin
       let r =
-        match chain with
-        | Some t ->
+        if Atomic.get cfg_chain && is_chain st b then begin
           st.chain_hits <- st.chain_hits + 1;
-          remove_sup_chain st a t
-        | None -> (
-          match (a.node, b.node) with
-        | Node { var = va; hi = ha; lo = la }, Node { var = vb; hi = _; lo = lb }
-          when va = vb ->
-          let hb = (match b.node with Node { hi; _ } -> hi | _ -> assert false) in
-          let hi = no_sup_set_st st (no_sup_set_st st ha lb) hb in
-          let lo = no_sup_set_st st la lb in
-          mk st va hi lo
-        | Node { var = va; hi = ha; lo = la }, Node { var = vb; _ } when va < vb ->
-          mk st va (no_sup_set_st st ha b) (no_sup_set_st st la b)
-        | Node _, Node { lo = lb; _ } ->
-          (* vb < va: members of b containing vb subsume nothing in a *)
-          no_sup_set_st st a lb
-          | (Empty | Base | Node _), (Empty | Base) -> assert false
-          | (Empty | Base), Node _ -> assert false)
+          remove_sup_chain st a b
+        end
+        else begin
+          let va = var_of st a and vb = var_of st b in
+          if va = vb then begin
+            let hi =
+              no_sup_set_st st (no_sup_set_st st (hi_of st a) (lo_of st b)) (hi_of st b)
+            in
+            let lo = no_sup_set_st st (lo_of st a) (lo_of st b) in
+            mk st va hi lo
+          end
+          else if va < vb then
+            mk st va (no_sup_set_st st (hi_of st a) b) (no_sup_set_st st (lo_of st a) b)
+          else
+            (* vb < va: members of b containing vb subsume nothing in a *)
+            no_sup_set_st st a (lo_of st b)
+        end
       in
-      Cache2.add st.nosup_cache key r;
+      Cache.add st.nosup_cache a b r;
       r
+    end
   end
 
-let minimal f =
-  let st = state () in
-  let rec go f =
-    match f.node with
-    | Empty | Base -> f
-    | Node { var; hi; lo } -> (
-      match Cache1.find_opt st.minimal_cache f.tag with
-      | Some r -> r
-      | None ->
-        let lo' = go lo in
-        let hi' = no_sup_set_st st (go hi) lo' in
-        let r = mk st var hi' lo' in
-        Cache1.add st.minimal_cache f.tag r;
-        r)
-  in
-  go f
+let rec minimal_st st f =
+  if f < 2 then f
+  else begin
+    let r = Cache.find st.minimal_cache f 0 in
+    if r >= 0 then r
+    else begin
+      let lo' = minimal_st st (lo_of st f) in
+      let hi' = no_sup_set_st st (minimal_st st (hi_of st f)) lo' in
+      let r = mk st (var_of st f) hi' lo' in
+      Cache.add st.minimal_cache f 0 r;
+      r
+    end
+  end
+
+let minimal f = minimal_st (state ()) f
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let rec count_st st f =
+  if f = empty then 0.
+  else if f = base then 1.
+  else begin
+    let c = Float.Array.get st.counts f in
+    if Float.is_nan c then begin
+      let c = count_st st (hi_of st f) +. count_st st (lo_of st f) in
+      Float.Array.set st.counts f c;
+      c
+    end
+    else c
+  end
+
 let count f =
   let st = state () in
+  let known = Float.Array.length st.counts in
+  if known < st.dd.next then begin
+    let counts = Float.Array.make (Array.length st.dd.var) Float.nan in
+    Float.Array.blit st.counts 0 counts 0 known;
+    st.counts <- counts
+  end;
+  count_st st f
+
+let singletons f =
+  let st = state () in
   let rec go f =
-    match f.node with
-    | Empty -> 0.
-    | Base -> 1.
-    | Node { hi; lo; _ } -> (
-      match Cache1.find_opt st.count_cache f.tag with
-      | Some c -> c
-      | None ->
-        let c = go hi +. go lo in
-        Cache1.add st.count_cache f.tag c;
-        c)
+    if f < 2 then []
+    else if contains_empty_set st (hi_of st f) then var_of st f :: go (lo_of st f)
+    else go (lo_of st f)
   in
   go f
 
-let rec singletons f =
-  match f.node with
-  | Empty | Base -> []
-  | Node { var; hi; lo } ->
-    if contains_empty_set hi then var :: singletons lo else singletons lo
-
 let support f =
-  let seen : unit Cache1.t = Cache1.create 256 in
+  let st = state () in
+  Ddstore.new_epoch st.dd;
   let acc = ref [] in
   let rec go f =
-    match f.node with
-    | Empty | Base -> ()
-    | Node { var; hi; lo } ->
-      if not (Cache1.mem seen f.tag) then begin
-        Cache1.add seen f.tag ();
-        acc := var :: !acc;
-        go hi;
-        go lo
-      end
+    if f >= 2 && Ddstore.visit st.dd f then begin
+      acc := var_of st f :: !acc;
+      go (hi_of st f);
+      go (lo_of st f)
+    end
   in
   go f;
   List.sort_uniq Stdlib.compare !acc
 
 let iter_sets f k =
+  let st = state () in
   let rec go prefix f =
-    match f.node with
-    | Empty -> ()
-    | Base -> k (List.rev prefix)
-    | Node { var; hi; lo } ->
-      go (var :: prefix) hi;
-      go prefix lo
+    if f = base then k (List.rev prefix)
+    else if f <> empty then begin
+      go (var_of st f :: prefix) (hi_of st f);
+      go prefix (lo_of st f)
+    end
   in
   go [] f
 
@@ -613,18 +586,15 @@ let of_arrays sets =
 let of_sets sets = of_arrays (Array.of_list (List.map Array.of_list sets))
 
 let size f =
-  let seen : unit Cache1.t = Cache1.create 256 in
+  let st = state () in
+  Ddstore.new_epoch st.dd;
   let n = ref 0 in
   let rec go f =
-    match f.node with
-    | Empty | Base -> ()
-    | Node { hi; lo; _ } ->
-      if not (Cache1.mem seen f.tag) then begin
-        Cache1.add seen f.tag ();
-        incr n;
-        go hi;
-        go lo
-      end
+    if f >= 2 && Ddstore.visit st.dd f then begin
+      incr n;
+      go (hi_of st f);
+      go (lo_of st f)
+    end
   in
   go f;
   !n

@@ -7,15 +7,21 @@
     covering problems: sets of prime implicants, covering-matrix rows, cube
     sets.
 
-    Like {!Bdd}, the engine hash-conses nodes in a global unique table, so
-    equality of families is physical equality and all operations are
-    memoised.  Variables are ordered by increasing index from the root.
+    Like {!Bdd}, the engine hash-conses nodes in a per-domain unique
+    table, so equal families are the same node and all operations are
+    memoised; nodes, unique table and caches are flat int arrays the
+    OCaml GC never promotes or marks.  Variables are ordered by
+    increasing index from the root.
 
     Terminology: [empty] is the family {} (no set at all); [base] is the
     family {∅} containing exactly the empty set. *)
 
 type t
-(** A family of sets.  Canonical: physical equality ⟺ same family. *)
+(** A family of sets: the number of its root node in this domain's store
+    ([empty] and [base] are shared by every domain).  A value means
+    something only on the domain that built it, and only until a
+    collection that was not given it as a root ({!Gc}).  Canonical:
+    equal numbers ⟺ same family. *)
 
 type elt = int
 (** Set elements are non-negative integers. *)
@@ -52,7 +58,9 @@ val of_arrays : elt array array -> t
 
 val is_empty : t -> bool
 val is_base : t -> bool
+
 val equal : t -> t -> bool
+(** Int equality of node numbers — sound and complete by canonicity. *)
 
 val size : t -> int
 (** Number of internal DAG nodes. *)
@@ -99,19 +107,23 @@ val to_sets : t -> elt list list
 
 (** {1 Engine management}
 
-    Each OCaml 5 domain owns a private manager (unique table, tag
-    allocator, operation caches, collector).  The managers have a real
-    lifecycle: the caller names the live families at each collection,
-    and dead nodes are reclaimed by generational mark-and-sweep ({!Gc}), with
-    every operation cache invalidated by a collection that reclaims
-    anything, so stale hits can never resurrect a swept node (a
-    collection that reclaims nothing keeps them: no entry can be
-    stale). *)
+    Each OCaml 5 domain owns a private manager (node store, unique
+    table, operation caches, collector), created by its first ZDD
+    operation.  The managers have a real lifecycle: the caller names the
+    live families at each collection, and dead nodes are reclaimed by
+    generational mark-and-sweep ({!Gc}).  A reclaimed node's number is
+    handed to a later new node, so a collection that reclaims anything
+    also clears every operation cache: no stale entry can name a
+    reused number (a collection that reclaims nothing keeps them: no
+    entry can be stale). *)
 
 val default_initial_size : int
-(** 4_096 — the out-of-the-box unique-table size; the operation caches
-    start at the same size.  Every table grows as [Hashtbl] does,
-    doubling when full, so a small start costs a few resizes on large
+(** 4_096 — the out-of-the-box store size: room for that many nodes
+    and a unique table of at least twice as many slots.  The node
+    arrays double when full and the unique table when more than half
+    full; the operation caches start at 64 slots whatever the size and
+    double when more than half full, and a collection that clears them
+    shrinks them back.  So a small start costs a few resizes on large
     implicit phases and keeps a fresh manager cheap to create. *)
 
 val default_gc_threshold : int
@@ -122,8 +134,8 @@ val configure :
   ?initial_size:int -> ?gc_threshold:int -> ?chain_reduction:bool -> unit -> unit
 (** Engine-wide tunables (shared atomics; worker domains spawned later
     inherit them, and running managers re-read [gc_threshold] at each
-    safe point).  [initial_size] seeds new domains' unique tables
-    (default 4_096, clamped to ≥ 16).  [gc_threshold] is the number of
+    safe point).  [initial_size] sizes new domains' stores
+    (default 4_096, clamped to ≥ 16; see {!default_initial_size}).  [gc_threshold] is the number of
     fresh allocations between automatic {!Gc.maybe_collect} collections
     (default 262_144); [0] disables automatic collection entirely.
     [chain_reduction] toggles the chain-aware fast path of {!minimal}:
@@ -146,10 +158,12 @@ val chain_hit_count : unit -> int
     Collections are only triggered between operations (never inside a
     recursion), so callers decide the safe points and pass the families
     they still need as [roots]; nothing else survives a collection.
-    Minor collections sweep only the nursery — nodes
-    allocated since the last collection; sound because children are
+    Minor collections sweep only the nursery — the buffer of nodes
+    created since the last collection; sound because children are
     always older than their parents — and escalate to a full sweep when
-    the nursery is mostly live. *)
+    the nursery is mostly live.  A family passed as a root is read with
+    bounds checks: a number outside this domain's store raises
+    [Invalid_argument]. *)
 module Gc : sig
   type stats = {
     collections : int;  (** total collections (minor + major) *)

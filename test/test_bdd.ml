@@ -103,6 +103,23 @@ let prop_eval_agrees =
       let f = bdd_of_expr e in
       List.for_all (fun env -> Bdd.eval f (fun i -> env.(i)) = eval_expr env e) all_envs)
 
+(* The same property in a fresh domain whose manager starts with room
+   for 16 nodes: the 200 expressions share that manager, so its node
+   arrays, unique table and operation caches resize many times. *)
+let test_eval_small_tables () =
+  Bdd.configure ~initial_size:16 ();
+  Fun.protect
+    ~finally:(fun () -> Bdd.configure ~initial_size:4_096 ())
+    (fun () ->
+      let nodes =
+        Domain.join
+          (Domain.spawn (fun () ->
+               QCheck.Test.check_exn ~rand:(QCheck_base_runner.random_state ())
+                 prop_eval_agrees;
+               Bdd.node_count ()))
+      in
+      check "the tables outgrew their start" (nodes > 64))
+
 let prop_de_morgan =
   QCheck.Test.make ~name:"de morgan" ~count:100 (QCheck.pair arb_expr arb_expr)
     (fun (a, b) ->
@@ -246,6 +263,7 @@ let () =
           Alcotest.test_case "big conjunction" `Quick test_big_conjunction;
           Alcotest.test_case "intersects long search" `Quick test_intersects_long_search;
           Alcotest.test_case "implies long search" `Quick test_implies_long_search;
+          Alcotest.test_case "eval, smallest tables" `Quick test_eval_small_tables;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -281,6 +281,18 @@ let test_synth_complete_machine () = check_implementation (random_complete_machi
 
 let test_synth_mergeable () = check_implementation (mergeable_machine ())
 
+(* every transition of this machine goes to state 0 with output 0, so no
+   bit of its logic is ever 1: the empty PLA implements it at cost 0 *)
+let test_synth_no_on_minterm () =
+  let m = random_complete_machine 925173 in
+  Alcotest.(check (pair int int)) "2 states, 1 input" (2, 1)
+    (Fsm.Machine.n_states m, m.Fsm.Machine.ni);
+  check_implementation m;
+  let pla, r = Fsm.Synth.implement m in
+  Alcotest.(check int) "no rows" 0 (List.length pla.Logic.Pla.rows);
+  Alcotest.(check int) "cost 0" 0 r.Scg.cost;
+  check "optimal" true r.Scg.proven_optimal
+
 let prop_synth_correct =
   QCheck.Test.make ~name:"synthesised PLA implements the machine" ~count:25
     (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000)) (fun seed ->
@@ -332,6 +344,7 @@ let () =
           Alcotest.test_case "state bits" `Quick test_synth_state_bits;
           Alcotest.test_case "complete machine" `Quick test_synth_complete_machine;
           Alcotest.test_case "mergeable machine" `Quick test_synth_mergeable;
+          Alcotest.test_case "no ON-minterm" `Quick test_synth_no_on_minterm;
           QCheck_alcotest.to_alcotest prop_synth_correct;
           Alcotest.test_case "minimise then synth" `Quick test_minimise_then_synth;
         ] );

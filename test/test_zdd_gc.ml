@@ -328,6 +328,109 @@ let test_fixpoint_variants () =
   in
   checkb "chain paths exercised" true (hits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* the node store at its smallest                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random sequences of family operations, each step followed by a
+   collection whose roots are a random subset of the live families,
+   against a list-of-sets model.  Each sequence runs in a fresh domain
+   whose manager starts with room for 16 nodes and collects its nursery
+   past 8 allocations, so the node arrays, unique table and caches
+   resize, minor and major sweeps free numbers, and later steps reuse
+   them.  After every collection each surviving family must still match
+   its model and be the node a rebuild from its sets finds. *)
+module Model = struct
+  let norm fam = List.sort_uniq compare (List.map (List.sort_uniq compare) fam)
+  let union a b = norm (a @ b)
+  let diff a b = List.filter (fun s -> not (List.mem s b)) a
+
+  let change fam v =
+    norm (List.map (fun s -> if List.mem v s then List.filter (( <> ) v) s else v :: s) fam)
+
+  let subset t s = List.for_all (fun x -> List.mem x s) t
+  let minimal fam =
+    List.filter (fun s -> not (List.exists (fun t -> t <> s && subset t s) fam)) fam
+end
+
+type op =
+  | Build of int list list
+  | Union of int * int
+  | Diff of int * int
+  | Change of int * int
+  | Minimal of int
+
+let gen_steps =
+  let open QCheck.Gen in
+  let family = list_size (int_bound 12) (list_size (int_bound 6) (int_bound 13)) in
+  let index = int_bound 1_000 in
+  let op =
+    frequency
+      [
+        (3, map (fun f -> Build f) family);
+        (3, map2 (fun i j -> Union (i, j)) index index);
+        (2, map2 (fun i j -> Diff (i, j)) index index);
+        (2, map2 (fun i v -> Change (i, v)) index (int_bound 13));
+        (2, map (fun i -> Minimal i) index);
+      ]
+  in
+  (* each step: the operation, a bit mask choosing the roots, and the
+     collection after it: none (0 or 1, so that caches fill across
+     steps), the paced one (2) or a forced major one (3) *)
+  list_size (int_range 1 30) (triple op (int_bound 0xfffff) (int_bound 3))
+
+let run_steps steps =
+  let live = ref [] in
+  let pick i =
+    match !live with [] -> (Zdd.empty, []) | l -> List.nth l (i mod List.length l)
+  in
+  let agrees (f, m) =
+    Model.norm (Zdd.to_sets f) = m && Zdd.count f = float_of_int (List.length m)
+  in
+  List.for_all
+    (fun (op, mask, collection) ->
+      let fm =
+        match op with
+        | Build fam -> (Zdd.of_sets fam, Model.norm fam)
+        | Union (i, j) ->
+          let (f, a), (g, b) = (pick i, pick j) in
+          (Zdd.union f g, Model.union a b)
+        | Diff (i, j) ->
+          let (f, a), (g, b) = (pick i, pick j) in
+          (Zdd.diff f g, Model.diff a b)
+        | Change (i, v) ->
+          let f, a = pick i in
+          (Zdd.change f v, Model.change a v)
+        | Minimal i ->
+          let f, a = pick i in
+          (Zdd.minimal f, Model.minimal a)
+      in
+      live := !live @ [ fm ];
+      let ok = agrees fm in
+      let roots = List.filteri (fun i _ -> (mask lsr (i mod 20)) land 1 = 1) !live in
+      let root_nodes = List.map fst roots in
+      let collected =
+        match collection with
+        | 2 -> Zdd.Gc.maybe_collect ~roots:root_nodes ()
+        | 3 ->
+          ignore (Zdd.Gc.collect ~roots:root_nodes ());
+          true
+        | _ -> false
+      in
+      if collected then live := roots;
+      ok && List.for_all (fun (f, m) -> agrees (f, m) && Zdd.equal f (Zdd.of_sets m)) !live)
+    steps
+
+let prop_small_tables =
+  QCheck.Test.make ~name:"collections at the smallest tables agree with a list model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun steps -> Printf.sprintf "<%d steps>" (List.length steps))
+       gen_steps)
+    (fun steps ->
+      with_config ~initial_size:16 ~gc_threshold:8 (fun () ->
+          Domain.join (Domain.spawn (fun () -> run_steps steps))))
+
 let () =
   Alcotest.run "zdd_gc"
     [
@@ -337,6 +440,7 @@ let () =
           Alcotest.test_case "canonicity preserved" `Quick
             test_canonicity_after_collect;
           Alcotest.test_case "peak monotone" `Quick test_peak_monotone;
+          QCheck_alcotest.to_alcotest prop_small_tables;
         ] );
       ( "auto",
         [
